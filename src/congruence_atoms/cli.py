@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import operator
 import os
 import sys
 import time
@@ -56,7 +58,12 @@ def _threads(args):
     if getattr(args, "threads", None):
         return args.threads
     env = os.environ.get("CONGRUENCE_ATOMS_THREADS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise DomainError(f"CONGRUENCE_ATOMS_THREADS is not an integer: {env!r}")
 
 
 def _parse_int_list(text, what):
@@ -69,36 +76,43 @@ def _parse_int_list(text, what):
     return values
 
 
-def _record_line(coords, fmt):
+def _record_line(coords, fmt, letters):
+    """One solution record.  `letters` gives the coefficient of each
+    column; None stands for the standard alphabet 1..n, whose weight
+    metrics() already computes."""
     met = metrics(coords)
+    if letters is None:
+        weight = met.weight
+    else:
+        weight = sum(map(operator.mul, letters, coords))
     if fmt == "json":
         return json.dumps(
             {
                 "coords": list(coords),
                 "length": met.length,
                 "width": met.width,
-                "weight": met.weight,
+                "weight": weight,
                 "total_size": met.total_size,
             },
             separators=(",", ":"),
         )
     if fmt == "csv":
         joined = ";".join(str(c) for c in coords)
-        return f"{joined},{met.length},{met.width},{met.weight},{met.total_size}"
+        return f"{joined},{met.length},{met.width},{weight},{met.total_size}"
     return (
         f"x=({','.join(str(c) for c in coords)}) length={met.length} "
-        f"width={met.width} weight={met.weight} total_size={met.total_size}"
+        f"width={met.width} weight={weight} total_size={met.total_size}"
     )
 
 
 CSV_HEADER = "coords,length,width,weight,total_size"
 
 
-def _emit_solutions(solutions, fmt, out):
+def _emit_solutions(solutions, fmt, letters, out):
     if fmt == "csv":
         print(CSV_HEADER, file=out)
     for coords in solutions:
-        print(_record_line(coords, fmt), file=out)
+        print(_record_line(coords, fmt, letters), file=out)
 
 
 def _emit_summary(m, count, elapsed_ms, fmt, err):
@@ -120,19 +134,25 @@ def _cache_path(directory, m, J):
 
 
 def _cache_load(directory, m, J):
-    path = _cache_path(directory, m, J)
-    if not os.path.exists(path):
+    """The cached solutions, or None on a miss.  A missing, unreadable,
+    malformed or stale file is a miss."""
+    try:
+        with open(_cache_path(directory, m, J), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     if (
-        data.get("version") != CACHE_VERSION
+        not isinstance(data, dict)
+        or data.get("version") != CACHE_VERSION
         or data.get("engine") != ENGINE_FINGERPRINT
         or data.get("m") != m
         or data.get("J") != (list(J) if J is not None else None)
     ):
         return None
-    return tuple(tuple(x) for x in data["solutions"])
+    try:
+        return tuple(tuple(x) for x in data["solutions"])
+    except (KeyError, TypeError):
+        return None
 
 
 def _cache_store(directory, m, J, solutions):
@@ -144,15 +164,26 @@ def _cache_store(directory, m, J, solutions):
         "engine": ENGINE_FINGERPRINT,
         "solutions": [list(x) for x in solutions],
     }
-    with open(_cache_path(directory, m, J), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+    # write a temp file next to the target and rename it over, so a
+    # reader never sees a partly written cache
+    path = _cache_path(directory, m, J)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def cmd_enumerate(args):
     out, err = sys.stdout, sys.stderr
     m = args.m
     J = _parse_int_list(args.support, "support") if args.support else None
+    letters = tuple(sorted(J)) if J is not None else None
     started = time.monotonic()
     solutions = None
     if args.cache:
@@ -162,14 +193,14 @@ def cmd_enumerate(args):
             solutions = enumerate_naive(m, J, max_points=args.max_points).solutions
         elif J is not None:
             solutions = enumerate_normal_form(
-                NormalForm(m, tuple(sorted(J))), threads=_threads(args)
+                NormalForm(m, letters), threads=_threads(args)
             ).solutions
         else:
             solutions = enumerate_standard(m, threads=_threads(args)).solutions
         if args.cache:
             _cache_store(args.cache, m, J, solutions)
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    _emit_solutions(solutions, args.format, out)
+    _emit_solutions(solutions, args.format, letters, out)
     _emit_summary(m, len(solutions), elapsed_ms, args.format, err)
     return EXIT_OK
 
@@ -195,7 +226,7 @@ def cmd_solve(args):
         if args.max_rows is not None and count >= args.max_rows:
             print(f"output capped at {args.max_rows} rows", file=err)
             break
-        print(_record_line(coords, args.format), file=out)
+        print(_record_line(coords, args.format, inst.coefficients), file=out)
         count += 1
     elapsed_ms = int((time.monotonic() - started) * 1000)
     _emit_summary(args.modulus, count, elapsed_ms, args.format, err)
@@ -329,7 +360,7 @@ def _verify_invariants(args, checks):
         )
         checks.append((f"oracle equivalence m={m}", same))
     for m in range(4, min(args.m_max, 16) + 1):
-        result = enumerate_standard(m, prune=False, threads=threads)
+        result = enumerate_standard(m, threads=threads)
         ok = True
         for x in result.solutions:
             length = sum(x)
@@ -338,7 +369,7 @@ def _verify_invariants(args, checks):
                 ok = False
             if m >= 7 and width >= 3 and length > m - 3:
                 ok = False
-        checks.append((f"bound theorems (pruning off) m={m}", ok))
+        checks.append((f"bound theorems (unpruned engine) m={m}", ok))
 
 
 def cmd_verify(args):

@@ -8,6 +8,7 @@ dataclasses are thin validated containers.  All arithmetic is exact
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -52,9 +53,9 @@ class SolutionMetrics:
 def metrics(coords):
     coords = check_vector(coords)
     length = sum(coords)
-    width = sum(1 for c in coords if c)
+    width = len(coords) - coords.count(0)
     height = max(coords)
-    weight = sum(i * c for i, c in enumerate(coords, start=1))
+    weight = sum(map(operator.mul, range(1, len(coords) + 1), coords))
     return SolutionMetrics(length, width, height, weight, length + width)
 
 

@@ -1,12 +1,23 @@
 """Enumeration of indecomposable solutions of the standard congruence.
 
-The engine is a depth-first search over multisets of coefficients taken
-in non-decreasing order.  Each node keeps a width-m bitmask A of the
-residues attainable as non-empty sub-multiset sums; adding an element
-of value t maps A to A | rot(A, t) | {t}.  A node with 0 in A is
-terminal: the multiset is emitted iff its total weight is 0 mod m and
-no proper non-empty sub-multiset sums to 0 (checked by re-running the
-closure with one element removed).  A node with 0 not in A is extended.
+A solution is a multiset S of letters (the coefficients) summing to
+0 mod m, and an atom is a non-empty S with no non-empty proper zero-sum
+sub-multiset.  The engine is the closing-letter depth-first search,
+which rests on one fact.  Let g be a letter of S and T = S with one copy
+of g removed.  If S is an atom, T is zero-sum-free (a non-empty zero-sum
+U inside T would split S into the zero-sum parts U and S - U) and
+g = -sigma(T) mod m.  Conversely, if T is zero-sum-free and
+g = -sigma(T) mod m is a letter, then S = T*g is an atom: it sums to 0,
+and of any split of S into two zero-sum parts, the part without that
+copy of g lies inside T, so it is empty.  Taking g as the largest letter
+of S (in alphabet order) makes the pair (T, g) unique.  So the search
+walks the zero-sum-free multisets T in non-decreasing letter order and
+emits T*g exactly when g comes at or after the last letter of T; it
+needs no minimality re-check and no size pruning.  Each node keeps a
+width-m bitmask A of the residues attainable as non-empty sub-multiset
+sums; adding a letter t maps A to A | rot(A, t) | {t}, and T is
+zero-sum-free exactly while bit 0 of A is clear.  Atoms of length 1 do
+not occur, since every letter is non-zero mod m.
 
 The naive simplex scan is kept as a fully independent oracle.
 """
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 
 from .core import BudgetExceeded, DomainError, NormalForm, check_vector
 
-ENGINE_FINGERPRINT = "closure-dfs/1"
+ENGINE_FINGERPRINT = "closing-letter/2"
 
 DEFAULT_POINT_BUDGET = 50_000_000
 
@@ -42,90 +53,77 @@ class EnumerationResult:
         return tuple(range(1, self.modulus))
 
 
-def _closure_mask(letters, counts, m, skip=-1):
-    """Bitmask of non-empty sub-multiset sums mod m; one copy of
-    letters[skip] is left out when skip >= 0."""
+def _closure_mask(letters, counts, m):
+    """Bitmask of the non-empty sub-multiset sums mod m; letters lie in [0, m)."""
     full = (1 << m) - 1
     mask = 0
-    for j, c in enumerate(counts):
-        if j == skip:
-            c -= 1
-        t = letters[j]
+    for t, c in zip(letters, counts):
         for _ in range(c):
             mask |= ((mask << t) & full) | (mask >> (m - t)) | (1 << t)
     return mask
 
 
-def _branch(letters, m, first, prune):
-    """All indecomposable solutions whose smallest element is letters[first]."""
-    k = len(letters)
+def _branch(letters, m, first):
+    """All indecomposable solutions whose smallest letter is letters[first];
+    the letters are distinct and lie in (0, m)."""
     full = (1 << m) - 1
-    max_width = m // 2 if (prune and m >= 4) else None
-    counts = [0] * k
+    position = [-1] * m  # residue -> index of the letter with that value
+    for j, a in enumerate(letters):
+        position[a] = j
+    steps = [(j, a, m - a, 1 << a) for j, a in enumerate(letters)]
+    counts = [0] * len(letters)
     out = []
 
-    def visit(pos, mask, length, width, weight):
-        # mask has bit 0 clear here, so the node is extended
-        if length >= m:
-            return
-        for j in range(pos, k):
-            t = letters[j]
-            nwid = width + (0 if counts[j] else 1)
-            if max_width is not None:
-                if nwid > max_width or length + 1 + nwid > m + 1:
-                    continue
-            nmask = mask | ((mask << t) & full) | (mask >> (m - t)) | (1 << t)
+    def visit(pos, mask, total):
+        # the multiset in counts is zero-sum-free: bit 0 of mask is clear
+        j = position[-total % m]
+        if j >= pos:
             counts[j] += 1
-            if nmask & 1:
-                if (weight + t) % m == 0 and all(
-                    not _closure_mask(letters, counts, m, skip=i) & 1
-                    for i in range(k)
-                    if counts[i]
-                ):
-                    out.append(tuple(counts))
-            else:
-                visit(j, nmask, length + 1, nwid, (weight + t) % m)
+            out.append(tuple(counts))
             counts[j] -= 1
+        for j, a, back, bit in steps[pos:]:
+            # bit 0 of the extended mask is bit m - a of mask
+            high = mask >> back
+            if not high & 1:
+                counts[j] += 1
+                visit(j, mask | ((mask << a) & full) | high | bit, total + a)
+                counts[j] -= 1
 
     t = letters[first]
-    if t % m == 0:
-        raise DomainError("letters must be non-zero mod m")
-    # a single element is never a solution (0 < t < m), so always extend
     counts[first] = 1
-    visit(first, 1 << t, 1, 1, t % m)
-    counts[first] = 0
+    visit(first, 1 << t, t)
     return out
 
 
-def _enumerate_letters(m, letters, prune=True, threads=1):
+def _enumerate_letters(m, letters, threads=1):
     letters = tuple(letters)
     if threads is None or threads < 1:
         threads = 1
     if threads == 1:
         sols = []
         for first in range(len(letters)):
-            sols.extend(_branch(letters, m, first, prune))
+            sols.extend(_branch(letters, m, first))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(
-                lambda first: _branch(letters, m, first, prune),
+                lambda first: _branch(letters, m, first),
                 range(len(letters)),
             )
             sols = [x for chunk in chunks for x in chunk]
     return tuple(sorted(sols))
 
 
-def enumerate_standard(m, prune=True, threads=1):
+def enumerate_standard(m, threads=1):
     """All indecomposable solutions of x1 + 2*x2 + ... + (m-1)*x_{m-1} = 0 mod m."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
-    sols = _enumerate_letters(m, range(1, m), prune=prune, threads=threads)
+    sols = _enumerate_letters(m, range(1, m), threads=threads)
     return EnumerationResult(m, None, sols)
 
 
-def enumerate_normal_form(nf: NormalForm, prune=True, threads=1):
+def enumerate_normal_form(nf: NormalForm, threads=1):
     """Indecomposable solutions of the congruence restricted to the set J."""
-    sols = _enumerate_letters(nf.modulus, nf.support, prune=prune, threads=threads)
+    sols = _enumerate_letters(nf.modulus, nf.support, threads=threads)
     return EnumerationResult(nf.modulus, nf.support, sols)
 
 
@@ -147,15 +145,18 @@ def is_indecomposable(coords, m, support=None):
     coords = check_vector(coords)
     if not any(coords):
         raise DomainError("the zero vector is not a candidate")
-    letters = tuple(support) if support is not None else tuple(range(1, m))
+    letters = (
+        tuple(a % m for a in support) if support is not None else tuple(range(1, m))
+    )
     if len(letters) != len(coords):
         raise DomainError("dimension mismatch between coords and support")
     if sum(t * c for t, c in zip(letters, coords)) % m != 0:
         return False
-    for i, c in enumerate(coords):
-        if c and _closure_mask(letters, coords, m, skip=i) & 1:
-            return False
-    return True
+    # a zero-sum S is an atom iff S minus one copy of any of its letters
+    # is zero-sum-free (see the module docstring); drop the last one
+    last = max(i for i, c in enumerate(coords) if c)
+    rest = coords[:last] + (coords[last] - 1,) + coords[last + 1:]
+    return not _closure_mask(letters, rest, m) & 1
 
 
 def _simplex_points(k, total):

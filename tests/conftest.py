@@ -5,12 +5,8 @@ from congruence_atoms import enumerate_standard
 
 @pytest.fixture(scope="session")
 def standard_enumerations():
-    """enumerate_standard(m) for every m in the reference-table range."""
+    """enumerate_standard(m) for every m in the reference-table range.
+
+    The engine has no width or total-size pruning, so the bound theorems
+    are tested against it rather than assumed."""
     return {m: enumerate_standard(m) for m in range(2, 24)}
-
-
-@pytest.fixture(scope="session")
-def unpruned_enumerations():
-    """Width/total-size pruning disabled, so the bound theorems are
-    tested rather than assumed."""
-    return {m: enumerate_standard(m, prune=False) for m in range(4, 17)}

@@ -81,6 +81,32 @@ def test_threads_env_fallback(capsys, monkeypatch):
     assert out == base
 
 
+def test_threads_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CONGRUENCE_ATOMS_THREADS", "x")
+    code, out, err = run_cli(["enumerate", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "CONGRUENCE_ATOMS_THREADS" in err
+
+
+def test_weight_uses_the_coefficients(capsys):
+    # columns follow the sorted support J = (1, 3): x = (0, 7) weighs 3 * 7
+    code, out, _ = run_cli(["enumerate", "7", "--support", "3,1"], capsys)
+    assert code == 0
+    assert "x=(0,7) length=7 width=1 weight=21 total_size=8" in out.splitlines()
+    code, out, _ = run_cli(
+        ["solve", "--modulus", "5", "--coeffs", "3,3", "--format", "csv"], capsys
+    )
+    assert code == 0
+    assert "0;5,5,1,15,6" in out.splitlines()
+    # coefficients are reduced mod m before weighing
+    code, out, _ = run_cli(
+        ["solve", "--modulus", "5", "--coeffs", "8", "--format", "json"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["weight"] == 15
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     _, first, _ = run_cli(
@@ -116,6 +142,23 @@ def test_cache_fingerprint_invalidation(tmp_path, capsys):
         json.dump(data, fh)
     _, out, err = run_cli(["enumerate", "7", "--cache", cache], capsys)
     assert "count=47" in err  # recomputed, not the tampered cache
+
+
+def test_truncated_cache_is_a_miss(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    _, expected, _ = run_cli(["enumerate", "7", "--cache", cache], capsys)
+    path = os.path.join(cache, "enum-m7.json")
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(whole[: len(whole) // 2])
+    code, out, err = run_cli(["enumerate", "7", "--cache", cache], capsys)
+    assert code == 0
+    assert out == expected
+    assert "count=47" in err
+    with open(path, "rb") as fh:
+        assert fh.read() == whole  # rewritten in full
+    assert os.listdir(cache) == ["enum-m7.json"]  # no temp file left behind
 
 
 def test_solve_count_only(capsys):
