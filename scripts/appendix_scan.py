@@ -30,7 +30,8 @@ def main(argv=None):
         print(f"r=4 m={m:<3} admissible={s.admissible_count:<6} "
               f"min={s.min_diversity} ok={s.ok}")
         failures += not s.ok
-    for r in range(4, args.r_max + 1):
+    # verify_r4 above already scans r = 4
+    for r in range(5, args.r_max + 1):
         for m in range(2 * r + 1, args.m_max + 1):
             s = verify_general(r, m)
             print(f"r={r} m={m:<3} admissible={s.admissible_count:<6} "

@@ -16,6 +16,7 @@ from .core import (
 )
 from .enumeration import (
     EnumerationResult,
+    count_letters,
     enumerate_naive,
     enumerate_normal_form,
     enumerate_standard,
@@ -33,6 +34,7 @@ from .reduction import (
 from .extremal import (
     ExtremalSolution,
     extremal_all,
+    extremal_filter,
     extremal_width1,
     extremal_width2,
     verify_extremal,

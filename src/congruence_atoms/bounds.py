@@ -15,6 +15,7 @@ from functools import lru_cache
 import mpmath
 
 from .core import DomainError, binomial
+from .enumeration import count_letters
 from . import tables
 
 # working precision for bound_r / stirling_central (significant digits)
@@ -124,16 +125,18 @@ class BoundsRow:
     ell_source: str   # "enumerated", "reference" or "unknown"
 
 
-def table2(m_min, m_max, with_enumeration=False, threads=1):
-    """Comparison rows: the solution count against its bounds."""
+def table2(m_min, m_max, with_enumeration=False):
+    """Comparison rows: the solution count against its bounds.
+
+    With with_enumeration, ell comes from the exhaustive closing-letter
+    search, counted by count_letters without building the atoms."""
     if not 4 <= m_min <= m_max:
         raise DomainError("need 4 <= m_min <= m_max")
-    from .enumeration import enumerate_standard
 
     rows = []
     for m in range(m_min, m_max + 1):
         if with_enumeration:
-            ell = enumerate_standard(m, threads=threads).count
+            ell = count_letters(m, range(1, m))
             source = "enumerated"
         elif m in tables.ELL:
             ell = tables.ELL[m]

@@ -95,6 +95,44 @@ def _branch(letters, m, first):
     return out
 
 
+def count_letters(m, letters):
+    """Number of indecomposable solutions over the distinct letters in
+    (0, m), without building them.
+
+    The same closing-letter recursion as _branch, started from the empty
+    multiset, but returning the number of atoms below each node.  That
+    number depends only on the next letter index, the closure mask and
+    the running sum mod m, so it is memoised on that state.
+    """
+    if m < 2:
+        raise DomainError("modulus must be >= 2")
+    letters = tuple(letters)
+    if len(set(letters)) != len(letters) or not all(0 < a < m for a in letters):
+        raise DomainError("letters must be distinct and lie in (0, m)")
+    full = (1 << m) - 1
+    position = [-1] * m
+    for j, a in enumerate(letters):
+        position[a] = j
+    steps = [(j, a, m - a, 1 << a) for j, a in enumerate(letters)]
+    memo = {}
+
+    def visit(pos, mask, total):
+        key = (pos, mask, total)
+        n = memo.get(key)
+        if n is None:
+            n = 1 if position[-total % m] >= pos else 0
+            for j, a, back, bit in steps[pos:]:
+                high = mask >> back
+                if not high & 1:
+                    n += visit(j, mask | ((mask << a) & full) | high | bit,
+                               (total + a) % m)
+            memo[key] = n
+        return n
+
+    # the empty multiset closes with no letter: position[0] is -1
+    return visit(0, 0, 0)
+
+
 def _enumerate_letters(m, letters, threads=1):
     letters = tuple(letters)
     if threads is None or threads < 1:

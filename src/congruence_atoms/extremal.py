@@ -76,6 +76,11 @@ def extremal_all(m):
     return tuple(out)
 
 
+def extremal_filter(solutions, m):
+    """The members of solutions with total size (length + width) m + 1."""
+    return tuple(x for x in solutions if sum(x) + len(x) - x.count(0) == m + 1)
+
+
 def verify_extremal(m, result=None):
     """Check the classification against the enumeration engine.
 
@@ -85,11 +90,7 @@ def verify_extremal(m, result=None):
     """
     if result is None:
         result = enumerate_standard(m)
-    filtered = [
-        x
-        for x in result.solutions
-        if sum(x) + sum(1 for c in x if c) == m + 1
-    ]
+    filtered = extremal_filter(result.solutions, m)
     constructed = sorted(s.vector for s in extremal_all(m))
     assert sorted(filtered) == constructed, (m, filtered, constructed)
     for x in filtered:

@@ -166,7 +166,7 @@ def test_table2_rows():
 
 
 def test_table2_live_enumeration():
-    rows = table2(4, 8, with_enumeration=True)
+    rows = table2(4, 23, with_enumeration=True)
     for row in rows:
         assert row.ell == tables.ELL[row.m]
         assert row.ell_source == "enumerated"

@@ -161,6 +161,25 @@ def test_truncated_cache_is_a_miss(tmp_path, capsys):
     assert os.listdir(cache) == ["enum-m7.json"]  # no temp file left behind
 
 
+def test_support_order_is_canonical(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    first, second = (
+        run_cli(["enumerate", "7", "--support", J, "--cache", cache], capsys)[1]
+        for J in ("3,1", "1,3")
+    )
+    assert first == second
+    assert os.listdir(cache) == ["enum-m7-J1-3.json"]
+
+
+def test_unusable_cache_path_is_a_domain_error(tmp_path, capsys):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code, out, err = run_cli(["enumerate", "5", "--cache", str(blocker)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_solve_count_only(capsys):
     code, out, _ = run_cli(
         ["solve", "--modulus", "2", "--coeffs", "1,1", "--count-only"], capsys
@@ -250,18 +269,25 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from congruence_atoms import tables
 
     monkeypatch.setitem(tables.ELL, 5, 999)
-    code, out, _ = run_cli(["verify", "--suite", "tables", "--m-max", "5"], capsys)
+    code, out, err = run_cli(["verify", "--suite", "tables", "--m-max", "5"], capsys)
     assert code == 1
     assert "FAIL" in out
+    assert "failed=1 skipped=0" in err
 
 
 def test_verify_time_budget_marks_unverified(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["verify", "--suite", "tables", "--m-max", "8", "--time-budget", "0"],
         capsys,
     )
     assert code == 0
     assert "unverified-live" in out
+    assert not any(
+        line.startswith("PASS") and "unverified-live" in line
+        for line in out.splitlines()
+    )
+    assert out.count("SKIP table1 ell(") == 7
+    assert err.strip() == "suite=tables checks=22 passed=15 failed=0 skipped=7"
 
 
 def test_console_script_runs():

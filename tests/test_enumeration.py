@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from congruence_atoms import (
     BudgetExceeded,
     DomainError,
     NormalForm,
+    count_letters,
     enumerate_naive,
     enumerate_normal_form,
     enumerate_standard,
@@ -17,6 +19,7 @@ from congruence_atoms import (
     naive_minimal_solutions,
     solve_n1,
 )
+from congruence_atoms import tables
 
 TABLE1 = {
     2: 1, 3: 3, 4: 6, 5: 14, 6: 19, 7: 47, 8: 64, 9: 118, 10: 165,
@@ -35,6 +38,13 @@ def test_small_solution_sets():
 def test_counts_match_reference(standard_enumerations):
     for m, expected in TABLE1.items():
         assert standard_enumerations[m].count == expected
+    for m in range(2, 24):
+        assert count_letters(m, range(1, m)) == tables.ELL[m], m
+
+
+def test_counter_matches_engine_past_the_table():
+    for m in (24, 25):
+        assert count_letters(m, range(1, m)) == enumerate_standard(m).count, m
 
 
 def test_m23_count(standard_enumerations):
@@ -46,6 +56,9 @@ def test_domain_errors():
         enumerate_standard(1)
     with pytest.raises(DomainError):
         enumerate_naive(1)
+    for m, letters in ((1, ()), (5, (1, 1)), (5, (0, 2)), (5, (2, 5))):
+        with pytest.raises(DomainError):
+            count_letters(m, letters)
 
 
 def test_ordering_is_lexicographic(standard_enumerations):
@@ -129,6 +142,15 @@ def test_normal_form_matches_naive():
         )
 
 
+def test_counter_matches_engine_on_random_normal_forms():
+    rng = random.Random(20170)
+    for _ in range(300):
+        m = rng.randint(2, 18)
+        J = tuple(sorted(rng.sample(range(1, m), rng.randint(1, m - 1))))
+        expected = enumerate_normal_form(NormalForm(m, J)).count
+        assert count_letters(m, J) == expected, (m, J)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_normal_form_matches_naive_property(data):
@@ -138,9 +160,9 @@ def test_normal_form_matches_naive_property(data):
             lambda s: tuple(sorted(s))
         )
     )
-    assert enumerate_normal_form(NormalForm(m, J)).solutions == tuple(
-        sorted(naive_minimal_solutions(m, J))
-    )
+    oracle = naive_minimal_solutions(m, J)
+    assert enumerate_normal_form(NormalForm(m, J)).solutions == tuple(sorted(oracle))
+    assert count_letters(m, J) == len(oracle)
 
 
 def test_unit_vector_membership(standard_enumerations):
