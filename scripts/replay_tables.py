@@ -13,7 +13,7 @@ import time
 from congruence_atoms import (
     bound_q,
     bound_r,
-    enumerate_standard,
+    count_letters,
     log2_rounded,
     partition_count,
 )
@@ -23,14 +23,13 @@ from congruence_atoms import tables
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m-max", type=int, default=23)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     bad = 0
     print("m  ell        log2  q            r            m*P     time  verdict")
     for m in range(2, args.m_max + 1):
         started = time.monotonic()
-        ell = enumerate_standard(m, threads=args.threads).count
+        ell = count_letters(m, range(1, m))
         elapsed = time.monotonic() - started
         q = bound_q(m) if m >= 4 else None
         r = bound_r(m) if m >= 4 else None

@@ -25,7 +25,6 @@ from .core import (
     DomainError,
     NormalForm,
     euler_phi,
-    metrics,
 )
 from .enumeration import (
     DEFAULT_POINT_BUDGET,
@@ -81,31 +80,24 @@ def _parse_int_list(text, what):
 
 
 def _record_line(coords, fmt, letters):
-    """One solution record.  `letters` gives the coefficient of each
-    column; None stands for the standard alphabet 1..n, whose weight
-    metrics() already computes."""
-    met = metrics(coords)
-    if letters is None:
-        weight = met.weight
-    else:
-        weight = sum(map(operator.mul, letters, coords))
+    """One solution record, its fields computed from the coordinates and
+    the column coefficients `letters` (None stands for the standard
+    alphabet 1..n).  The json form is what json.dumps with separators
+    (",", ":") prints for the same dict."""
+    length = sum(coords)
+    width = len(coords) - coords.count(0)
+    weight = sum(map(operator.mul, letters or range(1, len(coords) + 1), coords))
     if fmt == "json":
-        return json.dumps(
-            {
-                "coords": list(coords),
-                "length": met.length,
-                "width": met.width,
-                "weight": weight,
-                "total_size": met.total_size,
-            },
-            separators=(",", ":"),
+        return (
+            f'{{"coords":[{",".join(map(str, coords))}],"length":{length},'
+            f'"width":{width},"weight":{weight},"total_size":{length + width}}}'
         )
     if fmt == "csv":
-        joined = ";".join(str(c) for c in coords)
-        return f"{joined},{met.length},{met.width},{weight},{met.total_size}"
+        joined = ";".join(map(str, coords))
+        return f"{joined},{length},{width},{weight},{length + width}"
     return (
-        f"x=({','.join(str(c) for c in coords)}) length={met.length} "
-        f"width={met.width} weight={weight} total_size={met.total_size}"
+        f'x=({",".join(map(str, coords))}) length={length} '
+        f"width={width} weight={weight} total_size={length + width}"
     )
 
 
@@ -114,9 +106,9 @@ CSV_HEADER = "coords,length,width,weight,total_size"
 
 def _emit_solutions(solutions, fmt, letters, out):
     if fmt == "csv":
-        print(CSV_HEADER, file=out)
+        out.write(CSV_HEADER + "\n")
     for coords in solutions:
-        print(_record_line(coords, fmt, letters), file=out)
+        out.write(_record_line(coords, fmt, letters) + "\n")
 
 
 def _emit_summary(m, count, elapsed_ms, fmt, err):
@@ -128,6 +120,12 @@ def _emit_summary(m, count, elapsed_ms, fmt, err):
     else:
         line = f"m={m} count={count} elapsed_ms={elapsed_ms}"
     print(line, file=err)
+
+
+# a JSON number that is not a non-negative integer has "-", "." or "e",
+# NaN and Infinity "N" and "I"; a string has '"', an object "{", true "e",
+# false and null "l"
+_NOT_A_COUNT = '-.eENI"{l'
 
 
 def _cache_path(directory, m, J):
@@ -142,7 +140,8 @@ def _cache_load(directory, m, J):
     malformed or stale file is a miss."""
     try:
         with open(_cache_path(directory, m, J), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except (OSError, ValueError):
         return None
     if (
@@ -153,10 +152,23 @@ def _cache_load(directory, m, J):
         or data.get("J") != (list(J) if J is not None else None)
     ):
         return None
+    # records are printed from the entries unchecked, so each row must be
+    # `dimension` non-negative integers.  _cache_store writes the solutions
+    # last: after their key, any other JSON scalar shows one of _NOT_A_COUNT
+    # and a nested list one "[" more than the rows and the outer list.
+    start = text.find('"solutions"') + len('"solutions"')
+    if any(text.find(c, start) >= 0 for c in _NOT_A_COUNT):
+        return None
+    brackets = text.count("[", start)
+    del text  # free it before the rows are copied, as json.load would
     try:
-        return tuple(tuple(x) for x in data["solutions"])
+        solutions = tuple(map(tuple, data["solutions"]))
     except (KeyError, TypeError):
         return None
+    dimension = m - 1 if J is None else len(J)
+    if brackets != len(solutions) + 1 or set(map(len, solutions)) != {dimension}:
+        return None
+    return solutions
 
 
 def _cache_store(directory, m, J, solutions):
@@ -193,6 +205,11 @@ def cmd_enumerate(args):
     J = None
     if args.support:
         J = tuple(sorted(_parse_int_list(args.support, "support")))
+    if args.count_only:
+        if args.naive:
+            raise DomainError("--count-only and --naive cannot be combined")
+        print(count_letters(m, J or range(1, m)), file=out)
+        return EXIT_OK
     started = time.monotonic()
     solutions = None
     if args.cache:
@@ -230,12 +247,12 @@ def cmd_solve(args):
     started = time.monotonic()
     count = 0
     if args.format == "csv":
-        print(CSV_HEADER, file=out)
+        out.write(CSV_HEADER + "\n")
     for coords in lift_solutions(plan, normal):
         if args.max_rows is not None and count >= args.max_rows:
             print(f"output capped at {args.max_rows} rows", file=err)
             break
-        print(_record_line(coords, args.format, inst.coefficients), file=out)
+        out.write(_record_line(coords, args.format, inst.coefficients) + "\n")
         count += 1
     elapsed_ms = int((time.monotonic() - started) * 1000)
     _emit_summary(args.modulus, count, elapsed_ms, args.format, err)
@@ -411,6 +428,11 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--cache", help="directory for the result cache")
     p.add_argument("--naive", action="store_true", help="use the simplex oracle")
+    p.add_argument(
+        "--count-only",
+        action="store_true",
+        help="print the number of solutions without building them or using the cache",
+    )
     p.add_argument("--max-points", type=int, default=DEFAULT_POINT_BUDGET)
     p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_enumerate)

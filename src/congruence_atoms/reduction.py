@@ -9,6 +9,8 @@ class I_r in every possible way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+from operator import itemgetter
 
 from .core import CongruenceInstance, DomainError, binomial
 from .enumeration import EnumerationResult
@@ -59,40 +61,42 @@ def _check_pair(plan, normal_solutions):
 
 def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = None):
     """All indecomposable solutions of the general instance, in
-    lexicographic order.  Returns an iterator (the set can be large)."""
+    lexicographic order, as an iterator over a list.
+
+    The whole set is built and sorted before the first row is returned,
+    so memory and the time to the first row grow with the set; lazy
+    generation in lexicographic order is ROADMAP item 4.
+    """
     _check_pair(plan, normal_solutions)
     n = sum(plan.class_sizes)
-    out = []
-    for i in plan.index_classes[0]:
-        x = [0] * n
-        x[i] = 1
-        out.append(tuple(x))
-    if normal_solutions is not None:
-        for y in normal_solutions.solutions:
-            out.extend(_splits(plan, y))
+    zero_class = plan.index_classes[0]
+    out = [tuple(int(i == j) for j in range(n)) for i in zero_class]
+    if normal_solutions is None:
+        return iter(sorted(out))
+    slots = [plan.index_classes[r] for r in plan.support]
+    sizes = [len(idxs) for idxs in slots]
+    # a lifted row is built class by class in support order, then zeros
+    # for class 0; `inverse` puts its entries back in original index order
+    inverse = [0] * n
+    for pos, i in enumerate([i for idxs in slots for i in idxs] + list(zero_class)):
+        inverse[i] = pos
+    padding = ((0,) * len(zero_class),)
+    # n = 1 is always in order, and must be: itemgetter(i) returns a
+    # scalar, not a 1-tuple
+    pick = None if inverse == list(range(n)) else itemgetter(*inverse)
+    compositions = {}
+    for y in normal_solutions.solutions:
+        tables = []
+        for yr, size in zip(y, sizes):
+            table = compositions.get((yr, size))
+            if table is None:
+                table = compositions[yr, size] = tuple(_compositions(yr, size))
+            tables.append(table)
+        tables.append(padding)
+        rows = map(tuple, map(chain.from_iterable, product(*tables)))
+        out.extend(rows if pick is None else map(pick, rows))
     out.sort()
     return iter(out)
-
-
-def _splits(plan, y):
-    """Distribute a normal-form solution y (indexed by J) over the
-    original indices, one output per choice of ordered compositions."""
-    n = sum(plan.class_sizes)
-    slots = [plan.index_classes[r] for r in plan.support]
-
-    def rec(pos, x):
-        if pos == len(plan.support):
-            yield tuple(x)
-            return
-        idxs = slots[pos]
-        for comp in _compositions(y[pos], len(idxs)):
-            for i, v in zip(idxs, comp):
-                x[i] = v
-            yield from rec(pos + 1, x)
-        for i in idxs:
-            x[i] = 0
-
-    yield from rec(0, [0] * n)
 
 
 def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult = None):

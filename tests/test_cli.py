@@ -161,6 +161,30 @@ def test_truncated_cache_is_a_miss(tmp_path, capsys):
     assert os.listdir(cache) == ["enum-m7.json"]  # no temp file left behind
 
 
+@pytest.mark.parametrize(
+    "bad_entry",
+    [-1, "0", 0.5, float("nan"), True, None, [0], "short row"],
+    ids=["negative", "string", "float", "nan", "true", "null", "nested", "short"],
+)
+def test_malformed_cache_entries_are_a_miss(tmp_path, capsys, bad_entry):
+    # records are printed from cached entries without a per-row check
+    cache = str(tmp_path / "cache")
+    _, expected, _ = run_cli(["enumerate", "7", "--cache", cache], capsys)
+    path = os.path.join(cache, "enum-m7.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    if bad_entry == "short row":
+        data["solutions"][0].pop()
+    else:
+        data["solutions"][0][-1] = bad_entry
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run_cli(["enumerate", "7", "--cache", cache], capsys)
+    assert code == 0
+    assert out == expected
+    assert "count=47" in err
+
+
 def test_support_order_is_canonical(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     first, second = (
@@ -178,6 +202,95 @@ def test_unusable_cache_path_is_a_domain_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_enumerate_count_only(tmp_path, capsys):
+    from congruence_atoms import tables
+
+    for m in range(2, 13):
+        code, out, _ = run_cli(["enumerate", str(m), "--count-only"], capsys)
+        assert code == 0 and out == f"{tables.ELL[m]}\n", m
+    _, listed, err = run_cli(["enumerate", "13", "--support", "9,2,5"], capsys)
+    cache = str(tmp_path / "cache")
+    code, out, _ = run_cli(
+        ["enumerate", "13", "--support", "9,2,5", "--count-only", "--cache", cache],
+        capsys,
+    )
+    assert code == 0
+    assert out == f"{len(listed.splitlines())}\n"
+    assert f"count={len(listed.splitlines())} " in err
+    assert not os.path.exists(cache)  # neither read nor written
+
+
+def test_enumerate_count_only_rejects_naive(capsys):
+    code, out, err = run_cli(["enumerate", "6", "--count-only", "--naive"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _reference_record(coords, fmt, letters):
+    length = sum(coords)
+    width = sum(1 for c in coords if c)
+    weight = sum(a * c for a, c in zip(letters, coords))
+    if fmt == "json":
+        return json.dumps(
+            {
+                "coords": list(coords),
+                "length": length,
+                "width": width,
+                "weight": weight,
+                "total_size": length + width,
+            },
+            separators=(",", ":"),
+        )
+    if fmt == "csv":
+        return (
+            ";".join(str(c) for c in coords)
+            + f",{length},{width},{weight},{length + width}"
+        )
+    return (
+        "x=(" + ",".join(str(c) for c in coords) + f") length={length} "
+        f"width={width} weight={weight} total_size={length + width}"
+    )
+
+
+def _golden_cases():
+    from congruence_atoms import (
+        CongruenceInstance,
+        NormalForm,
+        build_plan,
+        enumerate_normal_form,
+        enumerate_standard,
+        lift_solutions,
+    )
+
+    yield (["enumerate", "9"], range(1, 9), enumerate_standard(9).solutions)
+    yield (
+        ["enumerate", "11", "--support", "7,2,5"],
+        (2, 5, 7),
+        enumerate_normal_form(NormalForm(11, (2, 5, 7))).solutions,
+    )
+    coeffs = (5, 7, 5, 0, 3, 11, 7, 0)
+    plan = build_plan(CongruenceInstance(12, coeffs))
+    normal = enumerate_normal_form(NormalForm(12, plan.support))
+    yield (
+        ["solve", "--modulus", "12", "--coeffs", ",".join(map(str, coeffs))],
+        coeffs,
+        list(lift_solutions(plan, normal)),
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_records_match_the_reference_formatting(capsys, fmt):
+    for argv, letters, solutions in _golden_cases():
+        assert solutions
+        code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+        assert code == 0
+        expected = [_reference_record(x, fmt, letters) for x in solutions]
+        if fmt == "csv":
+            expected.insert(0, "coords,length,width,weight,total_size")
+        assert out == "".join(line + "\n" for line in expected), argv
 
 
 def test_solve_count_only(capsys):

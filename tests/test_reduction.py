@@ -22,8 +22,12 @@ def normal_for(plan):
 
 
 def lifted_set(m, coeffs):
+    """The lift as it comes, after checking that it is in strict
+    lexicographic order."""
     plan = build_plan(CongruenceInstance(m, coeffs))
-    return plan, sorted(lift_solutions(plan, normal_for(plan)))
+    sols = list(lift_solutions(plan, normal_for(plan)))
+    assert all(a < b for a, b in zip(sols, sols[1:])), (m, coeffs)
+    return plan, sols
 
 
 def test_build_plan_examples():
@@ -73,11 +77,16 @@ def test_mismatched_support_rejected():
 
 
 def test_lift_round_trip_small_instances():
+    # 40 instances with n <= 6, led by the shapes the lift treats apart:
+    # n = 1, zero coefficients and residue classes of size >= 3
+    instances = [(7, (3,)), (2, (1,)), (6, (0,)), (5, (0, 2, 0, 2, 2)),
+                 (6, (4, 1, 4, 4, 1, 0)), (4, (3, 3, 3))]
     rng = random.Random(20250823)
-    for _ in range(25):
+    while len(instances) < 40:
         m = rng.randint(2, 8)
-        n = rng.randint(1, 4)
-        coeffs = tuple(rng.randint(0, m - 1) for _ in range(n))
+        n = rng.randint(1, 6)
+        instances.append((m, tuple(rng.randint(0, m - 1) for _ in range(n))))
+    for m, coeffs in instances:
         plan, sols = lifted_set(m, coeffs)
         direct = sorted(naive_minimal_solutions(m, coeffs))
         assert sols == direct, (m, coeffs)
