@@ -57,6 +57,7 @@ from .subset_sums import (
     diversity_closure,
     family_Tma,
     lemma_expls_checks,
+    scan_admissible,
     verify_general,
     verify_r3,
     verify_r4,

@@ -1,7 +1,7 @@
 """Command-line surface: enumerate, solve, extremal, bounds, diversity, verify.
 
 Solution records go to stdout; summaries and diagnostics go to stderr so
-that stdout is byte-identical across reruns and thread counts.
+that stdout is byte-identical across reruns and cache hits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 budget refusal.
@@ -40,10 +40,9 @@ from .reduction import build_plan, count_general, lift_solutions
 from .subset_sums import (
     IndexSet,
     diversity,
+    diversity_floor,
     lemma_expls_checks,
-    verify_general,
-    verify_r3,
-    verify_r4,
+    scan_admissible,
 )
 
 EXIT_OK = 0
@@ -55,18 +54,6 @@ CACHE_VERSION = 1
 
 # the verdict of a verify check that did not run: neither PASS nor FAIL
 SKIPPED = object()
-
-
-def _threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("CONGRUENCE_ATOMS_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"CONGRUENCE_ATOMS_THREADS is not an integer: {env!r}")
 
 
 def _parse_int_list(text, what):
@@ -218,11 +205,9 @@ def cmd_enumerate(args):
         if args.naive:
             solutions = enumerate_naive(m, J, max_points=args.max_points).solutions
         elif J is not None:
-            solutions = enumerate_normal_form(
-                NormalForm(m, J), threads=_threads(args)
-            ).solutions
+            solutions = enumerate_normal_form(NormalForm(m, J)).solutions
         else:
-            solutions = enumerate_standard(m, threads=_threads(args)).solutions
+            solutions = enumerate_standard(m).solutions
         if args.cache:
             _cache_store(args.cache, m, J, solutions)
     elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -233,14 +218,14 @@ def cmd_enumerate(args):
 
 def cmd_solve(args):
     out, err = sys.stdout, sys.stderr
+    if args.max_rows is not None and args.max_rows < 0:
+        raise DomainError(f"--max-rows must be >= 0, got {args.max_rows}")
     coeffs = _parse_int_list(args.coeffs, "coefficient")
     inst = CongruenceInstance(args.modulus, coeffs)
     plan = build_plan(inst)
     normal = None
     if plan.support:
-        normal = enumerate_normal_form(
-            NormalForm(plan.modulus, plan.support), threads=_threads(args)
-        )
+        normal = enumerate_normal_form(NormalForm(plan.modulus, plan.support))
     if args.count_only:
         print(count_general(plan, normal), file=out)
         return EXIT_OK
@@ -338,9 +323,8 @@ def _verify_tables(args, checks):
 
 
 def _verify_extremal(args, checks):
-    threads = _threads(args)
     for m in range(3, args.m_max + 1):
-        result = enumerate_standard(m, threads=threads)
+        result = enumerate_standard(m)
         try:
             verify_extremal(m, result)
             ok = True
@@ -358,29 +342,29 @@ def _verify_extremal(args, checks):
 
 
 def _verify_appendix(args, checks):
-    for m in range(6, min(args.m_max, 20) + 1):
-        checks.append((f"appendix r=3 scan m={m}", verify_r3(m).ok))
-    for m in range(8, min(args.m_max, 16) + 1):
-        checks.append((f"appendix r=4 scan m={m}", verify_r4(m).ok))
-    for r in (4, 5):
-        for m in range(2 * r + 1, min(args.m_max, 16) + 1):
-            checks.append((f"appendix general r={r} m={m}", verify_general(r, m).ok))
-    for m in (8, 12, min(args.m_max, 16)):
-        checks.append(
-            (f"appendix elementary lemmas m={m}", lemma_expls_checks(m) > 0)
-        )
+    # one walk per m covers every size r; admissible sets have 2r <= m
+    for m in range(6, min(args.m_max, 32) + 1):
+        for s in scan_admissible(m, m // 2)[3:]:
+            r = s.set_size
+            found = "-" if s.min_diversity is None else s.min_diversity
+            label = (
+                f"appendix scan m={m} r={r} admissible={s.admissible_count} "
+                f"min={found} floor={diversity_floor(m, r)}"
+            )
+            checks.append((label, s.ok))
+    for m in (8, 12, 16):
+        if m <= args.m_max:
+            checks.append(
+                (f"appendix elementary lemmas m={m}", lemma_expls_checks(m) > 0)
+            )
 
 
 def _verify_invariants(args, checks):
-    threads = _threads(args)
     for m in range(2, min(args.m_max, 10) + 1):
-        same = (
-            enumerate_standard(m, threads=threads).solutions
-            == enumerate_naive(m).solutions
-        )
+        same = enumerate_standard(m).solutions == enumerate_naive(m).solutions
         checks.append((f"oracle equivalence m={m}", same))
     for m in range(4, min(args.m_max, 16) + 1):
-        result = enumerate_standard(m, threads=threads)
+        result = enumerate_standard(m)
         ok = True
         for x in result.solutions:
             length = sum(x)
@@ -434,7 +418,6 @@ def build_parser():
         help="print the number of solutions without building them or using the cache",
     )
     p.add_argument("--max-points", type=int, default=DEFAULT_POINT_BUDGET)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="solve a general congruence instance")
@@ -443,7 +426,6 @@ def build_parser():
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--max-rows", type=int)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("extremal", help="list the extremal solutions")
@@ -471,7 +453,6 @@ def build_parser():
     )
     p.add_argument("--m-max", type=int, default=14)
     p.add_argument("--time-budget", type=float, default=120.0)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -24,6 +24,16 @@ class BudgetExceeded(RuntimeError):
         self.required = required
 
 
+def closure_step(mask, t, m):
+    """Add the letter t (0 <= t < m) to a multiset whose non-empty
+    sub-multiset sums mod m are the set bits of `mask`: the result is
+    mask | rot(mask, t) | {t}.  Bit 0 of the result is set exactly when
+    the extended multiset has a non-empty zero-sum sub-multiset."""
+    # {t} is rot({0}, t); the bits shifted past m - 1 wrap round to 0
+    shifted = (mask | 1) << t
+    return mask | (shifted & ((1 << m) - 1)) | (shifted >> m)
+
+
 def check_vector(coords):
     """Validate and freeze a candidate solution vector."""
     coords = tuple(coords)

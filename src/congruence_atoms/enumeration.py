@@ -15,9 +15,10 @@ walks the zero-sum-free multisets T in non-decreasing letter order and
 emits T*g exactly when g comes at or after the last letter of T; it
 needs no minimality re-check and no size pruning.  Each node keeps a
 width-m bitmask A of the residues attainable as non-empty sub-multiset
-sums; adding a letter t maps A to A | rot(A, t) | {t}, and T is
-zero-sum-free exactly while bit 0 of A is clear.  Atoms of length 1 do
-not occur, since every letter is non-zero mod m.
+sums; adding a letter t maps A to A | rot(A, t) | {t} (core.closure_step),
+and T is zero-sum-free exactly while bit 0 of A is clear.  The walk
+starts at the empty multiset, which closes with no letter, so atoms of
+length 1 do not occur: every letter is non-zero mod m.
 
 The naive simplex scan is kept as a fully independent oracle.
 """
@@ -25,10 +26,15 @@ The naive simplex scan is kept as a fully independent oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .core import BudgetExceeded, DomainError, NormalForm, check_vector
+from .core import (
+    BudgetExceeded,
+    DomainError,
+    NormalForm,
+    check_vector,
+    closure_step,
+)
 
 ENGINE_FINGERPRINT = "closing-letter/2"
 
@@ -55,113 +61,94 @@ class EnumerationResult:
 
 def _closure_mask(letters, counts, m):
     """Bitmask of the non-empty sub-multiset sums mod m; letters lie in [0, m)."""
-    full = (1 << m) - 1
     mask = 0
     for t, c in zip(letters, counts):
         for _ in range(c):
-            mask |= ((mask << t) & full) | (mask >> (m - t)) | (1 << t)
+            mask = closure_step(mask, t, m)
     return mask
 
 
-def _branch(letters, m, first):
-    """All indecomposable solutions whose smallest letter is letters[first];
-    the letters are distinct and lie in (0, m)."""
-    full = (1 << m) - 1
-    position = [-1] * m  # residue -> index of the letter with that value
-    for j, a in enumerate(letters):
-        position[a] = j
-    steps = [(j, a, m - a, 1 << a) for j, a in enumerate(letters)]
-    counts = [0] * len(letters)
+def _walk_tables(m, letters):
+    """Tables of the closing-letter walk over the distinct letters in
+    (0, m): per next letter index p, the steps (j, a, m - a) with j >= p,
+    where bit m - a of a mask is bit 0 once a is added; and per running
+    sum s mod m, the index of the letter -s mod m, or -1."""
+    steps = [(j, a, m - a) for j, a in enumerate(letters)]
+    closer = [-1] * m
+    for j, _, back in steps:
+        closer[back] = j
+    return [steps[p:] for p in range(len(steps) + 1)], closer
+
+
+def _enumerate_letters(m, letters):
+    """All indecomposable solutions over the distinct letters in (0, m),
+    sorted: one closing-letter walk from the empty multiset."""
+    tails, closer = _walk_tables(m, letters)
+    counts = [0] * (len(tails) - 1)
     out = []
 
     def visit(pos, mask, total):
         # the multiset in counts is zero-sum-free: bit 0 of mask is clear
-        j = position[-total % m]
+        j = closer[total]
         if j >= pos:
             counts[j] += 1
             out.append(tuple(counts))
             counts[j] -= 1
-        for j, a, back, bit in steps[pos:]:
-            # bit 0 of the extended mask is bit m - a of mask
-            high = mask >> back
-            if not high & 1:
+        for j, a, back in tails[pos]:
+            if not mask >> back & 1:
                 counts[j] += 1
-                visit(j, mask | ((mask << a) & full) | high | bit, total + a)
+                visit(j, closure_step(mask, a, m), (total + a) % m)
                 counts[j] -= 1
 
-    t = letters[first]
-    counts[first] = 1
-    visit(first, 1 << t, t)
-    return out
+    # the empty multiset closes with no letter: closer[0] is -1
+    visit(0, 0, 0)
+    return tuple(sorted(out))
 
 
 def count_letters(m, letters):
     """Number of indecomposable solutions over the distinct letters in
     (0, m), without building them.
 
-    The same closing-letter recursion as _branch, started from the empty
-    multiset, but returning the number of atoms below each node.  That
-    number depends only on the next letter index, the closure mask and
-    the running sum mod m, so it is memoised on that state.
+    The same closing-letter walk as _enumerate_letters, but returning the
+    number of atoms below each node.  That number depends only on the
+    next letter index, the closure mask and the running sum mod m, so it
+    is memoised on that state.
     """
     if m < 2:
         raise DomainError("modulus must be >= 2")
     letters = tuple(letters)
     if len(set(letters)) != len(letters) or not all(0 < a < m for a in letters):
         raise DomainError("letters must be distinct and lie in (0, m)")
-    full = (1 << m) - 1
-    position = [-1] * m
-    for j, a in enumerate(letters):
-        position[a] = j
-    steps = [(j, a, m - a, 1 << a) for j, a in enumerate(letters)]
-    memo = {}
+    tails, closer = _walk_tables(m, letters)
+    # one memo per next letter index; total < m, so mask * m + total
+    # stands for the pair (mask, total)
+    memos = [{} for _ in tails]
 
     def visit(pos, mask, total):
-        key = (pos, mask, total)
+        memo = memos[pos]
+        key = mask * m + total
         n = memo.get(key)
         if n is None:
-            n = 1 if position[-total % m] >= pos else 0
-            for j, a, back, bit in steps[pos:]:
-                high = mask >> back
-                if not high & 1:
-                    n += visit(j, mask | ((mask << a) & full) | high | bit,
-                               (total + a) % m)
+            n = 1 if closer[total] >= pos else 0
+            for j, a, back in tails[pos]:
+                if not mask >> back & 1:
+                    n += visit(j, closure_step(mask, a, m), (total + a) % m)
             memo[key] = n
         return n
 
-    # the empty multiset closes with no letter: position[0] is -1
     return visit(0, 0, 0)
 
 
-def _enumerate_letters(m, letters, threads=1):
-    letters = tuple(letters)
-    if threads is None or threads < 1:
-        threads = 1
-    if threads == 1:
-        sols = []
-        for first in range(len(letters)):
-            sols.extend(_branch(letters, m, first))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda first: _branch(letters, m, first),
-                range(len(letters)),
-            )
-            sols = [x for chunk in chunks for x in chunk]
-    return tuple(sorted(sols))
-
-
-def enumerate_standard(m, threads=1):
+def enumerate_standard(m):
     """All indecomposable solutions of x1 + 2*x2 + ... + (m-1)*x_{m-1} = 0 mod m."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
-    sols = _enumerate_letters(m, range(1, m), threads=threads)
-    return EnumerationResult(m, None, sols)
+    return EnumerationResult(m, None, _enumerate_letters(m, range(1, m)))
 
 
-def enumerate_normal_form(nf: NormalForm, threads=1):
+def enumerate_normal_form(nf: NormalForm):
     """Indecomposable solutions of the congruence restricted to the set J."""
-    sols = _enumerate_letters(nf.modulus, nf.support, threads=threads)
+    sols = _enumerate_letters(nf.modulus, nf.support)
     return EnumerationResult(nf.modulus, nf.support, sols)
 
 

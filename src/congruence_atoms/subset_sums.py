@@ -3,8 +3,12 @@
 A set T in {1..m-1} is admissible when no non-empty subset sums to
 0 mod m; its diversity is the number of residue classes attained by
 subset sums (empty set included).  Two independent implementations are
-kept on purpose: a 2^r subset scan and the incremental residue closure
-shared with the enumeration engine.
+kept on purpose.  The oracle is `diversity`, a 2^r subset scan.  The
+scans use the residue closure of the enumeration engine
+(core.closure_step): `scan_admissible` walks the admissible sets
+depth first, adding elements in increasing order.  A superset of an
+inadmissible set is inadmissible, so a branch ends where bit 0 of the
+closure mask would set, and the walk visits admissible sets only.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BudgetExceeded, DomainError
+from .core import BudgetExceeded, DomainError, closure_step
 
 SUBSET_SCAN_MAX_SIZE = 25
 DEFAULT_SCAN_BUDGET = 5_000_000
@@ -75,11 +79,9 @@ def diversity(T: IndexSet) -> DiversityReport:
 def diversity_closure(T: IndexSet):
     """(admissible, diversity) via the incremental residue closure;
     independent of the subset scan above."""
-    m = T.modulus
-    full = (1 << m) - 1
     mask = 0
     for t in T.elements:
-        mask |= ((mask << t) & full) | (mask >> (m - t)) | (1 << t)
+        mask = closure_step(mask, t, T.modulus)
     admissible = not mask & 1
     return admissible, (mask | 1).bit_count()
 
@@ -118,12 +120,60 @@ class ScanSummary:
     ok: bool
 
 
-def _scan_admissible(m, r):
-    """Yield (elements, diversity) over all admissible r-subsets of {1..m-1}."""
-    for subset in combinations(range(1, m), r):
-        report = diversity(IndexSet(m, subset))
-        if report.admissible:
-            yield subset, report.diversity
+def diversity_floor(m, r):
+    """The appendix's lower bound on the diversity of an admissible r-set
+    mod m: 2^r for r <= 2, 7 for r = 3 (6 for even m, attained only by
+    the family {a, m/2, m/2 + a}) and 2r + 1 for r >= 4."""
+    if r <= 2:
+        return 2**r
+    if r == 3:
+        return 6 if m % 2 == 0 else 7
+    return 2 * r + 1
+
+
+def scan_admissible(m, r_max, budget=DEFAULT_SCAN_BUDGET):
+    """One ScanSummary per set size r = 0..r_max over the admissible
+    r-subsets of {1..m-1}, found by one depth-first walk of at most
+    `budget` sets.  Each set's diversity is popcount(mask | 1) of its
+    closure mask; minimisers are listed in lexicographic order."""
+    if m < 2:
+        raise DomainError("modulus must be >= 2")
+    counts = [{} for _ in range(r_max + 1)]
+    best = [None] * (r_max + 1)   # per size: [min diversity, minimisers]
+    path = []
+    visited = 0
+
+    def visit(start, mask):
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(f"scan visits more than {budget} sets")
+        r = len(path)
+        d = (mask | 1).bit_count()
+        counts[r][d] = counts[r].get(d, 0) + 1
+        if best[r] is None or d < best[r][0]:
+            best[r] = [d, [tuple(path)]]
+        elif d == best[r][0]:
+            best[r][1].append(tuple(path))
+        if r < r_max:
+            for t in range(start, m):
+                # bit 0 of the extended mask is bit m - t of mask
+                if not mask >> (m - t) & 1:
+                    path.append(t)
+                    visit(t + 1, closure_step(mask, t, m))
+                    path.pop()
+
+    visit(1, 0)
+    summaries = []
+    for r, (tally, found) in enumerate(zip(counts, best)):
+        min_d, mins = found or (None, [])
+        ok = min_d is None or min_d >= diversity_floor(m, r)
+        if r == 3 and min_d == 6:
+            ok = ok and all(is_family_member(IndexSet(m, s)) for s in mins)
+        summaries.append(
+            ScanSummary(m, r, sum(tally.values()), tally, min_d, tuple(mins), ok)
+        )
+    return tuple(summaries)
 
 
 def verify_r3(m):
@@ -131,25 +181,7 @@ def verify_r3(m):
     and exactly the T(m, a) family attains 6."""
     if m < 6:
         raise DomainError("verify_r3 needs m >= 6")
-    counts = {}
-    sixes = []
-    total = 0
-    min_d = None
-    mins = []
-    for subset, d in _scan_admissible(m, 3):
-        total += 1
-        counts[d] = counts.get(d, 0) + 1
-        if d == 6:
-            sixes.append(subset)
-        if min_d is None or d < min_d:
-            min_d, mins = d, [subset]
-        elif d == min_d:
-            mins.append(subset)
-    floor = 7 if m % 2 else 6
-    ok = all(d >= floor for d in counts)
-    if m % 2 == 0:
-        ok = ok and all(is_family_member(IndexSet(m, s)) for s in sixes)
-    return ScanSummary(m, 3, total, counts, min_d, tuple(mins), ok)
+    return scan_admissible(m, 3)[3]
 
 
 def verify_r4(m):
@@ -157,48 +189,17 @@ def verify_r4(m):
     whether m = 8 admits any admissible 4-set at all."""
     if m < 8:
         raise DomainError("verify_r4 needs m >= 8")
-    counts = {}
-    total = 0
-    mins = []
-    min_d = None
-    for subset, d in _scan_admissible(m, 4):
-        total += 1
-        counts[d] = counts.get(d, 0) + 1
-        if min_d is None or d < min_d:
-            min_d, mins = d, [subset]
-        elif d == min_d:
-            mins.append(subset)
-    ok = min_d is None or min_d >= 9
-    return ScanSummary(m, 4, total, counts, min_d, tuple(mins), ok)
+    return scan_admissible(m, 4)[4]
 
 
 def verify_general(r, m, budget=DEFAULT_SCAN_BUDGET):
-    """Exhaustive check that every admissible r-set has diversity >= 2r+1."""
+    """Exhaustive check that every admissible r-set has diversity >= 2r+1;
+    `budget` caps the number of sets the walk visits."""
     if r < 4:
         raise DomainError("verify_general needs r >= 4")
     if m < 2 * r + 1:
         raise DomainError("verify_general needs m >= 2r+1")
-    from math import comb
-
-    cost = comb(m - 1, r) * 2**r
-    if cost > budget:
-        raise BudgetExceeded(
-            f"scan needs {cost} subset evaluations, budget is {budget}",
-            required=cost,
-        )
-    counts = {}
-    total = 0
-    min_d = None
-    mins = []
-    for subset, d in _scan_admissible(m, r):
-        total += 1
-        counts[d] = counts.get(d, 0) + 1
-        if min_d is None or d < min_d:
-            min_d, mins = d, [subset]
-        elif d == min_d:
-            mins.append(subset)
-    ok = min_d is None or min_d >= 2 * r + 1
-    return ScanSummary(m, r, total, counts, min_d, tuple(mins), ok)
+    return scan_admissible(m, r, budget)[r]
 
 
 def lemma_expls_checks(m, max_size=5):

@@ -7,6 +7,7 @@ because there the two width-2 generators collide in the single vector (1, 1).
 """
 
 import math
+import os
 import random
 import time
 
@@ -171,17 +172,25 @@ def test_criterion_6_appendix_suite():
     )
 
 
-def test_criterion_7_thread_determinism(capsys):
+def test_criterion_7_thread_determinism(capsys, tmp_path):
+    """stdout is byte-identical across reruns, and between a cold run that
+    stores the cache and a cache hit."""
+    runs = [
+        ["enumerate", "12", "--format", fmt] for fmt in ("json", "csv", "text")
+    ] + [["verify", "--suite", "extremal", "--m-max", "8"]]
     outputs = []
-    for threads in ("1", "4"):
-        main(["enumerate", "12", "--format", "json", "--threads", threads])
-        outputs.append(capsys.readouterr().out)
-        main(
-            ["verify", "--suite", "extremal", "--m-max", "8", "--threads", threads]
-        )
-        outputs[-1] += capsys.readouterr().out
+    for _ in range(2):
+        for argv in runs:
+            main(argv)
+            outputs.append(capsys.readouterr().out)
+    cached = []
+    for _ in range(2):  # a cold run, which stores the cache, then a hit
+        main(["enumerate", "12", "--format", "json", "--cache", str(tmp_path)])
+        cached.append(capsys.readouterr().out)
     with capsys.disabled():
         report(
-            "criterion 7: byte-identical output across --threads values",
-            outputs[0] == outputs[1],
+            "criterion 7: byte-identical output across reruns and cache hits",
+            outputs[:len(runs)] == outputs[len(runs):]
+            and cached[0] == cached[1] == outputs[0]
+            and os.listdir(tmp_path) == ["enum-m12.json"],
         )

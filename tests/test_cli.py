@@ -64,31 +64,6 @@ def test_enumerate_budget_refusal(capsys):
     assert "budget" in err
 
 
-def test_threads_do_not_change_stdout(capsys):
-    _, base, _ = run_cli(["enumerate", "10", "--format", "json"], capsys)
-    for threads in ("2", "5"):
-        _, out, _ = run_cli(
-            ["enumerate", "10", "--format", "json", "--threads", threads], capsys
-        )
-        assert out == base
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("CONGRUENCE_ATOMS_THREADS", "3")
-    _, out, _ = run_cli(["enumerate", "8", "--format", "csv"], capsys)
-    monkeypatch.delenv("CONGRUENCE_ATOMS_THREADS")
-    _, base, _ = run_cli(["enumerate", "8", "--format", "csv"], capsys)
-    assert out == base
-
-
-def test_threads_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("CONGRUENCE_ATOMS_THREADS", "x")
-    code, out, err = run_cli(["enumerate", "5"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "CONGRUENCE_ATOMS_THREADS" in err
-
-
 def test_weight_uses_the_coefficients(capsys):
     # columns follow the sorted support J = (1, 3): x = (0, 7) weighs 3 * 7
     code, out, _ = run_cli(["enumerate", "7", "--support", "3,1"], capsys)
@@ -326,6 +301,16 @@ def test_solve_max_rows(capsys):
     assert "capped" in err
 
 
+def test_solve_negative_max_rows_is_a_domain_error(capsys):
+    code, out, err = run_cli(
+        ["solve", "--modulus", "5", "--coeffs", "1,2,3,4", "--max-rows", "-1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_extremal_command(capsys):
     code, out, _ = run_cli(["extremal", "6", "--format", "json"], capsys)
     assert code == 0
@@ -376,6 +361,31 @@ def test_verify_suites_pass(capsys):
         assert code == 0, (suite, out)
         assert "FAIL" not in out
         assert out.count("PASS") >= 1
+
+
+def test_verify_appendix_stays_within_m_max(capsys):
+    code, out, err = run_cli(["verify", "--suite", "appendix", "--m-max", "8"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS appendix scan m=6 r=3 admissible=2 min=6 floor=6",
+        "PASS appendix scan m=7 r=3 admissible=6 min=7 floor=7",
+        "PASS appendix scan m=8 r=3 admissible=16 min=6 floor=6",
+        "PASS appendix scan m=8 r=4 admissible=0 min=- floor=9",
+        "PASS appendix elementary lemmas m=8",
+    ]
+    assert err.strip() == "suite=appendix checks=5 passed=5 failed=0 skipped=0"
+
+
+def test_verify_appendix_scans_every_size(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "appendix", "--m-max", "16"], capsys)
+    assert code == 0
+    labels = [line.split()[3:5] for line in out.splitlines() if " scan " in line]
+    # one check per m = 6..16 and r = 3..m/2
+    assert labels == [
+        [f"m={m}", f"r={r}"] for m in range(6, 17) for r in range(3, m // 2 + 1)
+    ]
+    assert out.count("elementary lemmas") == 3
+    assert "PASS appendix scan m=16 r=5 admissible=120 min=14 floor=11" in out
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

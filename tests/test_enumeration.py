@@ -103,14 +103,6 @@ def test_bound_theorems_with_pruning_disabled(standard_enumerations):
                 assert length <= m - 3
 
 
-def test_thread_count_does_not_change_output():
-    for threads in (2, 3, 7):
-        assert (
-            enumerate_standard(11, threads=threads).solutions
-            == enumerate_standard(11).solutions
-        )
-
-
 def test_normal_form_examples():
     assert enumerate_normal_form(NormalForm(4, (2,))).solutions == ((2,),)
     assert enumerate_normal_form(NormalForm(5, (1, 2, 3, 4))).count == 14

@@ -12,6 +12,7 @@ from congruence_atoms import (
     diversity_closure,
     family_Tma,
     lemma_expls_checks,
+    scan_admissible,
     verify_general,
     verify_r3,
     verify_r4,
@@ -81,6 +82,14 @@ def test_verify_r3():
         assert verify_r3(m).ok, m
 
 
+def test_verify_r3_requires_the_family_at_six(monkeypatch):
+    import congruence_atoms.subset_sums as subset_sums
+
+    monkeypatch.setattr(subset_sums, "is_family_member", lambda T: False)
+    assert not verify_r3(6).ok  # its minimisers have diversity 6
+    assert verify_r3(7).ok      # odd m: no set reaches 6
+
+
 def test_verify_r4():
     for m in range(8, 17):
         summary = verify_r4(m)
@@ -103,6 +112,53 @@ def test_verify_general():
         verify_general(3, 9)
     with pytest.raises(BudgetExceeded):
         verify_general(5, 16, budget=10)
+
+
+def _oracle_summary(m, r):
+    """(admissible count, histogram, minimum, minimisers, ok) of the
+    r-subsets of {1..m-1}, from the 2^r subset scan."""
+    counts = {}
+    admissible = []
+    for subset in combinations(range(1, m), r):
+        report = diversity(IndexSet(m, subset))
+        if report.admissible:
+            counts[report.diversity] = counts.get(report.diversity, 0) + 1
+            admissible.append((report.diversity, subset))
+    low = min(counts, default=None)
+    minimizers = tuple(s for d, s in admissible if d == low)
+    floor = {0: 1, 1: 2, 2: 4, 3: 7 - (m % 2 == 0)}.get(r, 2 * r + 1)
+    ok = low is None or low >= floor
+    if r == 3 and low == 6:
+        family = {
+            family_Tma(m, a).elements for a in range(1, m // 2) if 4 * a != m
+        }
+        ok = ok and set(minimizers) <= family
+    return sum(counts.values()), counts, low, minimizers, ok
+
+
+def _fields(summary):
+    return (
+        summary.admissible_count,
+        summary.diversity_counts,
+        summary.min_diversity,
+        summary.minimizers,
+        summary.ok,
+    )
+
+
+def test_scan_matches_subset_scan_oracle():
+    for m in range(2, 17):
+        summaries = scan_admissible(m, 5)
+        assert [s.set_size for s in summaries] == list(range(6))
+        for r, summary in enumerate(summaries):
+            assert summary.modulus == m
+            assert _fields(summary) == _oracle_summary(m, r), (m, r)
+    for m in range(6, 21):
+        assert _fields(verify_r3(m)) == _oracle_summary(m, 3), m
+    for m in range(8, 17):
+        assert _fields(verify_r4(m)) == _oracle_summary(m, 4), m
+    for m in range(11, 17):
+        assert _fields(verify_general(5, m)) == _oracle_summary(m, 5), m
 
 
 def test_lemma_checks():
