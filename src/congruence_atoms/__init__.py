@@ -9,6 +9,7 @@ from .core import (
     NormalForm,
     SolutionMetrics,
     binomial,
+    bound_violations,
     euler_phi,
     leq,
     metrics,

@@ -69,6 +69,25 @@ def metrics(coords):
     return SolutionMetrics(length, width, height, weight, length + width)
 
 
+def bound_violations(x, m):
+    """The names of the bound theorems that a vector x over the standard
+    alphabet 1..m-1 violates; every atom violates none.  The bounds are
+    length <= m, 2 * width <= m, length + width <= m + 1 and, for m >= 7
+    and width >= 3, length <= m - 3."""
+    length = sum(x)
+    width = len(x) - x.count(0)
+    names = []
+    if length > m:
+        names.append("length")
+    if 2 * width > m:
+        names.append("width")
+    if length + width > m + 1:
+        names.append("total size")
+    if m >= 7 and width >= 3 and length > m - 3:
+        names.append("length refinement")
+    return tuple(names)
+
+
 def weight_mod(coords, m):
     """Index-weighted sum of coords, reduced mod m."""
     if m < 2:

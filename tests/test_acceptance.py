@@ -16,6 +16,7 @@ from congruence_atoms import (
     NormalForm,
     bound_q,
     bound_r,
+    bound_violations,
     build_plan,
     count_general,
     enumerate_naive,
@@ -99,16 +100,7 @@ def test_criterion_4_bound_theorems_unpruned():
     violations = []
     for m in range(4, 17):
         for x in enumerate_standard(m).solutions:
-            length = sum(x)
-            width = sum(1 for c in x if c)
-            if length > m:
-                violations.append((m, x, "length"))
-            if 2 * width > m:
-                violations.append((m, x, "width"))
-            if length + width > m + 1:
-                violations.append((m, x, "total size"))
-            if m >= 7 and width >= 3 and length > m - 3:
-                violations.append((m, x, "length refinement"))
+            violations.extend((m, x, name) for name in bound_violations(x, m))
     report(
         "criterion 4: bound theorems on the unpruned engine, zero violations",
         not violations,

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -136,28 +137,189 @@ def test_truncated_cache_is_a_miss(tmp_path, capsys):
     assert os.listdir(cache) == ["enum-m7.json"]  # no temp file left behind
 
 
-@pytest.mark.parametrize(
-    "bad_entry",
-    [-1, "0", 0.5, float("nan"), True, None, [0], "short row"],
-    ids=["negative", "string", "float", "nan", "true", "null", "nested", "short"],
-)
-def test_malformed_cache_entries_are_a_miss(tmp_path, capsys, bad_entry):
-    # records are printed from cached entries without a per-row check
+def _set(**fields):
+    return lambda data: data.update(fields)
+
+
+def _tamper_block(edit):
+    def tamper(data):
+        block = bytearray(base64.b64decode(data["solutions"]))
+        edit(block)
+        data["solutions"] = base64.b64encode(block).decode("ascii")
+
+    return tamper
+
+
+def _nested_rows(data):
+    from congruence_atoms import enumerate_standard
+
+    data["solutions"] = [list(x) for x in enumerate_standard(7).solutions]
+
+
+def _one_row_counted_true(data):
+    _tamper_block(lambda b: b.__delitem__(slice(6, None)))(data)
+    data["count"] = True  # == 1
+
+
+def _version_1(data):
+    # the list-of-lists layout of the first cache version
+    _nested_rows(data)
+    data["version"] = 1
+    del data["count"]
+
+
+# each edit of a good enum-m7.json (47 rows of 6 one-byte coordinates)
+# that must make it a miss; the first eight plant in the header or the
+# block the kinds of bad value that list rows could hold
+MALFORMED_CACHE = {
+    "negative": _set(count=-1),
+    "string": _set(count="47"),
+    "float": _set(count=47.0),
+    "nan": _set(count=float("nan")),
+    "true": _one_row_counted_true,
+    "null": _set(count=None),
+    "nested": _nested_rows,
+    "short": _tamper_block(lambda b: b.pop()),
+    "row-long": _tamper_block(lambda b: b.extend(b[:6])),
+    "count-one-more": _set(count=48),
+    "coordinate-above-m": _tamper_block(lambda b: b.__setitem__(-1, 8)),
+    # b64decode without validate=True would skip the "*"
+    "invalid-base64": lambda data: data.update(solutions="*" + data["solutions"]),
+    "solutions-missing": lambda data: data.pop("solutions"),
+    "version-1": _version_1,
+    "version-3": _set(version=3),
+    "other-engine": _set(engine="someone-else"),
+    "other-m": _set(m=8),
+    "other-J": _set(J=[1, 2, 3, 4, 5, 6]),
+}
+
+
+@pytest.mark.parametrize("tamper", MALFORMED_CACHE.values(), ids=MALFORMED_CACHE)
+def test_malformed_cache_entries_are_a_miss(tmp_path, capsys, tamper):
+    # records are printed from the cached block without a per-row check
     cache = str(tmp_path / "cache")
     _, expected, _ = run_cli(["enumerate", "7", "--cache", cache], capsys)
     path = os.path.join(cache, "enum-m7.json")
-    with open(path) as fh:
-        data = json.load(fh)
-    if bad_entry == "short row":
-        data["solutions"][0].pop()
-    else:
-        data["solutions"][0][-1] = bad_entry
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    data = json.loads(whole)
+    tamper(data)
     with open(path, "w") as fh:
         json.dump(data, fh)
     code, out, err = run_cli(["enumerate", "7", "--cache", cache], capsys)
     assert code == 0
     assert out == expected
     assert "count=47" in err
+    with open(path, "rb") as fh:
+        assert fh.read() == whole  # rewritten
+
+
+def test_deeply_nested_cache_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "enum-m7.json").write_text("[" * 100_000)
+    code, out, err = run_cli(["enumerate", "7", "--cache", str(cache)], capsys)
+    assert code == 0
+    assert "count=47" in err
+
+
+def test_uncacheable_moduli(tmp_path, capsys):
+    from congruence_atoms.cli import _cache_load, _cache_store, _cache_typecode
+    from congruence_atoms.enumeration import ENGINE_FINGERPRINT
+
+    assert [_cache_typecode(m) for m in (2, 255, 256, 65535, 65536)] == [
+        "B", "B", "H", "H", _cache_typecode(2**32 - 1),
+    ]
+    # no unsigned typecode holds 2**64: such a modulus is never cached
+    cache = str(tmp_path / "cache")
+    _cache_store(cache, 2**64, (1,), [(2**64,)])
+    assert not os.path.exists(cache) and _cache_load(cache, 2**64, (1,)) is None
+    # a well-formed file for m = 1 (no columns) is a miss, not a crash
+    os.makedirs(cache)
+    with open(os.path.join(cache, "enum-m1.json"), "w") as fh:
+        json.dump(
+            {"version": 2, "m": 1, "J": None, "engine": ENGINE_FINGERPRINT,
+             "count": 0, "solutions": ""},
+            fh,
+        )
+    code, out, err = run_cli(["enumerate", "1", "--cache", cache], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_cache_file_layout(tmp_path, capsys):
+    from congruence_atoms import enumerate_standard
+
+    cache = str(tmp_path / "cache")
+    run_cli(["enumerate", "7", "--cache", cache], capsys)
+    with open(os.path.join(cache, "enum-m7.json")) as fh:
+        data = json.load(fh)
+    assert list(data) == ["version", "m", "J", "engine", "count", "solutions"]
+    assert data["version"] == 2 and data["count"] == 47
+    solutions = enumerate_standard(7).solutions
+    # one byte per coordinate, row-major
+    assert base64.b64decode(data["solutions"]) == bytes(
+        c for x in solutions for c in x
+    )
+
+
+def test_wide_cache_round_trip(tmp_path, capsys):
+    # m > 255: coordinates up to 300 take two bytes each, little-endian,
+    # and are printed past the 0..255 digit table
+    from congruence_atoms.cli import _cache_load
+
+    cache = str(tmp_path / "cache")
+    argv = ["enumerate", "300", "--support", "299,1", "--cache", cache]
+    _, cold, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert cold.splitlines() == [
+        "coords,length,width,weight,total_size",
+        "0;300,300,1,89700,301",
+        "1;1,2,2,300,4",
+        "300;0,300,1,300,301",
+    ]
+    path = os.path.join(cache, "enum-m300-J1-299.json")
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    data = json.loads(whole)
+    assert data["count"] == 3
+    assert base64.b64decode(data["solutions"]) == bytes(
+        [0, 0, 44, 1, 1, 0, 1, 0, 44, 1, 0, 0]
+    )
+    assert _cache_load(cache, 300, (1, 299)) == [(0, 300), (1, 1), (300, 0)]
+    for fmt in ("json", "csv", "text"):
+        _, cold, _ = run_cli(
+            ["enumerate", "300", "--support", "1,299", "--format", fmt], capsys
+        )
+        _, hit, _ = run_cli(argv + ["--format", fmt], capsys)
+        assert hit == cold, fmt
+    # a coordinate above m in the wide block is a miss
+    data["solutions"] = base64.b64encode(
+        bytes([0, 0, 45, 1, 1, 0, 1, 0, 44, 1, 0, 0])
+    ).decode("ascii")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    _, hit, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert "0;300,300,1,89700,301" in hit.splitlines()
+    with open(path, "rb") as fh:
+        assert fh.read() == whole
+
+
+def test_solve_past_the_digit_table(capsys):
+    coeffs = (1, 299, 299)
+    code, out, _ = run_cli(
+        ["solve", "--modulus", "300", "--coeffs", "1,299,299", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "coords,length,width,weight,total_size"
+    rows = [tuple(map(int, line.split(",")[0].split(";"))) for line in lines[1:]]
+    assert lines[1:] == [_reference_record(x, "csv", coeffs) for x in rows]
+    assert max(max(x) for x in rows) == 300
+    _, count, _ = run_cli(
+        ["solve", "--modulus", "300", "--coeffs", "1,299,299", "--count-only"],
+        capsys,
+    )
+    assert len(rows) == int(count) == 304
 
 
 def test_support_order_is_canonical(tmp_path, capsys):
@@ -268,6 +430,23 @@ def test_records_match_the_reference_formatting(capsys, fmt):
         assert out == "".join(line + "\n" for line in expected), argv
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cached_records_match_the_reference_formatting(tmp_path, capsys, fmt):
+    cache = str(tmp_path / "cache")
+    for argv, letters, solutions in _golden_cases():
+        if argv[0] != "enumerate":
+            continue
+        expected = [_reference_record(x, fmt, letters) for x in solutions]
+        if fmt == "csv":
+            expected.insert(0, "coords,length,width,weight,total_size")
+        expected = "".join(line + "\n" for line in expected)
+        for run in ("cold", "hit"):
+            code, out, _ = run_cli(argv + ["--format", fmt, "--cache", cache], capsys)
+            assert code == 0
+            assert out == expected, (argv, run)
+    assert sorted(os.listdir(cache)) == ["enum-m11-J2-5-7.json", "enum-m9.json"]
+
+
 def test_solve_count_only(capsys):
     code, out, _ = run_cli(
         ["solve", "--modulus", "2", "--coeffs", "1,1", "--count-only"], capsys
@@ -370,10 +549,22 @@ def test_verify_appendix_stays_within_m_max(capsys):
         "PASS appendix scan m=6 r=3 admissible=2 min=6 floor=6",
         "PASS appendix scan m=7 r=3 admissible=6 min=7 floor=7",
         "PASS appendix scan m=8 r=3 admissible=16 min=6 floor=6",
-        "PASS appendix scan m=8 r=4 admissible=0 min=- floor=9",
+        "SKIP appendix scan m=8 r=4 admissible=0 min=- floor=9",
         "PASS appendix elementary lemmas m=8",
     ]
-    assert err.strip() == "suite=appendix checks=5 passed=5 failed=0 skipped=0"
+    assert err.strip() == "suite=appendix checks=5 passed=4 failed=0 skipped=1"
+
+
+def test_verify_appendix_never_passes_an_empty_scan(capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "appendix", "--m-max", "32"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    empty = [line for line in lines if " admissible=0 " in line]
+    assert empty and all(line.startswith("SKIP ") for line in empty)
+    assert not any(line.startswith("PASS") and "admissible=0" in line for line in lines)
+    assert f"skipped={len(empty)}" in err
 
 
 def test_verify_appendix_scans_every_size(capsys):

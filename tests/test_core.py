@@ -9,6 +9,7 @@ from congruence_atoms import (
     DomainError,
     NormalForm,
     binomial,
+    bound_violations,
     euler_phi,
     leq,
     metrics,
@@ -62,6 +63,19 @@ def test_weight_mod_examples():
     assert weight_mod((2, 1, 0), 4) == 0
     assert weight_mod((0, 0, 0), 7) == 0
     assert weight_mod((0, 0, 4), 4) == 0
+
+
+def test_bound_violations_names_each_bound():
+    # one hand-made vector per bound; a length violation always breaks
+    # the total size bound too, since width >= 1
+    assert bound_violations((1, 0, 1), 4) == ()
+    assert bound_violations((5, 0, 0), 4) == ("length", "total size")
+    assert bound_violations((1, 1, 1, 1, 0, 0), 7) == ("width",)
+    assert bound_violations((5, 1, 0, 0, 0), 6) == ("total size",)
+    assert bound_violations((2, 2, 2, 0, 0, 0, 0), 8) == ("length refinement",)
+    # the refinement needs m >= 7 and width >= 3
+    assert bound_violations((2, 2, 2, 0, 0), 6) == ("total size",)
+    assert bound_violations((3, 3, 0, 0, 0, 0, 0), 8) == ()
 
 
 @given(vectors, st.integers(min_value=2, max_value=50))

@@ -10,6 +10,7 @@ from congruence_atoms import (
     BudgetExceeded,
     DomainError,
     NormalForm,
+    bound_violations,
     count_letters,
     enumerate_naive,
     enumerate_normal_form,
@@ -94,13 +95,7 @@ def test_pairwise_incomparability(standard_enumerations):
 def test_bound_theorems_with_pruning_disabled(standard_enumerations):
     for m in range(4, 17):
         for x in standard_enumerations[m].solutions:
-            length = sum(x)
-            width = sum(1 for c in x if c)
-            assert length <= m
-            assert 2 * width <= m
-            assert length + width <= m + 1
-            if m >= 7 and width >= 3:
-                assert length <= m - 3
+            assert bound_violations(x, m) == (), (m, x)
 
 
 def test_normal_form_examples():
