@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
-from functools import lru_cache
 
 import mpmath
 
@@ -38,8 +37,11 @@ def bound_r(m):
         power = mpmath.mpf(4 ** (m - 1))  # exact integer input
         denom = 2 * mpmath.sqrt(mpmath.pi) * mpmath.sqrt(m - 1)
         value = power / denom
-        lo = int(mpmath.floor(value * (1 - mpmath.mpf(10) ** (-40))))
-        hi = int(mpmath.floor(value * (1 + mpmath.mpf(10) ** (-40))))
+        # a relative 10^(10 - dps) is far above the rounding error; value
+        # has about 0.6 m digits and dps >= max(50, m), so it is below one
+        eps = mpmath.mpf(10) ** (10 - mpmath.mp.dps)
+        lo = int(mpmath.floor(value * (1 - eps)))
+        hi = int(mpmath.floor(value * (1 + eps)))
     if lo != hi:
         raise ArithmeticError(f"floor of r({m}) unstable at working precision")
     return lo
@@ -82,27 +84,27 @@ def stirling_central(n):
         return value, (float(lower), 1.0)
 
 
-@lru_cache(maxsize=None)
+# P(0), P(1), ...: partition_count extends it bottom-up as far as needed
+_PARTITIONS = [1]
+
+
 def partition_count(m):
     """Partition function P(m) via the pentagonal-number recurrence."""
     if m < 0:
         raise DomainError("partition_count needs m >= 0")
-    if m == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > m and g2 > m:
-            break
-        sign = 1 if k % 2 else -1
-        if g1 <= m:
-            total += sign * partition_count(m - g1)
-        if g2 <= m:
-            total += sign * partition_count(m - g2)
-        k += 1
-    return total
+    p = _PARTITIONS
+    for n in range(len(p), m + 1):
+        # P(n) = sum over k >= 1 of (-1)^(k+1) (P(n - g) + P(n - g - k))
+        # with g = k(3k - 1)/2, the terms with a negative argument being 0
+        total = 0
+        for k in range(1, n + 1):
+            g = k * (3 * k - 1) // 2
+            if g > n:
+                break
+            term = p[n - g] + (p[n - g - k] if g + k <= n else 0)
+            total += term if k % 2 else -term
+        p.append(total)
+    return p[m]
 
 
 def log2_rounded(value):

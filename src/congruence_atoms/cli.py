@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from array import array
+from itertools import islice
 
 from . import tables
 from .bounds import bound_q, bound_r, log2_rounded, partition_count, table2
@@ -104,10 +105,13 @@ CSV_HEADER = "coords,length,width,weight,total_size"
 
 
 def _emit_solutions(solutions, fmt, letters, out):
+    """Write one record per row; return the number of rows."""
     if fmt == "csv":
         out.write(CSV_HEADER + "\n")
-    for coords in solutions:
+    count = 0
+    for count, coords in enumerate(solutions, 1):
         out.write(_record_line(coords, fmt, letters) + "\n")
+    return count
 
 
 def _emit_summary(m, count, elapsed_ms, fmt, err):
@@ -250,8 +254,8 @@ def cmd_enumerate(args):
         if args.cache:
             _cache_store(args.cache, m, J, solutions)
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    _emit_solutions(solutions, args.format, J, out)
-    _emit_summary(m, len(solutions), elapsed_ms, args.format, err)
+    count = _emit_solutions(solutions, args.format, J, out)
+    _emit_summary(m, count, elapsed_ms, args.format, err)
     return EXIT_OK
 
 
@@ -269,15 +273,13 @@ def cmd_solve(args):
         print(count_general(plan, normal), file=out)
         return EXIT_OK
     started = time.monotonic()
-    count = 0
-    if args.format == "csv":
-        out.write(CSV_HEADER + "\n")
-    for coords in lift_solutions(plan, normal):
-        if args.max_rows is not None and count >= args.max_rows:
-            print(f"output capped at {args.max_rows} rows", file=err)
-            break
-        out.write(_record_line(coords, args.format, inst.coefficients) + "\n")
-        count += 1
+    rows = lift_solutions(plan, normal)
+    shown = rows if args.max_rows is None else islice(rows, args.max_rows)
+    count = _emit_solutions(shown, args.format, inst.coefficients, out)
+    # islice stops before it takes row max_rows + 1, so a row left over
+    # means the output was capped
+    if next(rows, None) is not None:
+        print(f"output capped at {args.max_rows} rows", file=err)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     _emit_summary(args.modulus, count, elapsed_ms, args.format, err)
     return EXIT_OK
@@ -345,17 +347,21 @@ def cmd_diversity(args):
 
 def _verify_tables(args, checks):
     deadline = time.monotonic() + args.time_budget
-    for m in range(2, min(args.m_max, 23) + 1):
+
+    def moduli(table):
+        return [m for m in sorted(table) if m <= args.m_max]
+
+    for m in moduli(tables.ELL):
         if time.monotonic() < deadline:
             live = count_letters(m, range(1, m))
             checks.append((f"table1 ell({m}) [live]", live == tables.ELL[m]))
         else:
             checks.append((f"table1 ell({m}) [embedded, unverified-live]", SKIPPED))
-    for m in range(4, min(args.m_max, 14) + 1):
+    for m in moduli(tables.Q):
         checks.append((f"table2 q({m})", bound_q(m) == tables.Q[m]))
-    for m in range(4, min(args.m_max, 12) + 1):
+    for m in moduli(tables.R):
         checks.append((f"table2 r({m})", bound_r(m) == tables.R[m]))
-    for m in range(4, min(args.m_max, 23) + 1):
+    for m in moduli(tables.M_TIMES_P):
         checks.append(
             (f"table2 mP({m})", m * partition_count(m) == tables.M_TIMES_P[m])
         )

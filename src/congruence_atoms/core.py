@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 
 class DomainError(ValueError):
@@ -32,6 +33,18 @@ def closure_step(mask, t, m):
     # {t} is rot({0}, t); the bits shifted past m - 1 wrap round to 0
     shifted = (mask | 1) << t
     return mask | (shifted & ((1 << m) - 1)) | (shifted >> m)
+
+
+def compositions(total, parts):
+    """The `parts`-tuples of non-negative integers that sum to `total`,
+    lazily and in lexicographic order: by stars and bars, the gaps between
+    the cut points 0 <= c_1 <= ... <= c_{parts-1} <= total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
 def check_vector(coords):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
     BudgetExceeded,
@@ -34,11 +35,16 @@ from .core import (
     NormalForm,
     check_vector,
     closure_step,
+    compositions,
 )
 
 ENGINE_FINGERPRINT = "closing-letter/2"
 
 DEFAULT_POINT_BUDGET = 50_000_000
+
+# the walks recurse once per letter of the multiset, so a long atom (at
+# m of about 1000 and up) can outrun the interpreter's recursion limit
+_TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,10 @@ def _enumerate_letters(m, letters):
                 counts[j] -= 1
 
     # the empty multiset closes with no letter: closer[0] is -1
-    visit(0, 0, 0)
+    try:
+        visit(0, 0, 0)
+    except RecursionError:
+        raise BudgetExceeded(_TOO_DEEP) from None
     return tuple(sorted(out))
 
 
@@ -136,7 +145,10 @@ def count_letters(m, letters):
             memo[key] = n
         return n
 
-    return visit(0, 0, 0)
+    try:
+        return visit(0, 0, 0)
+    except RecursionError:
+        raise BudgetExceeded(_TOO_DEEP) from None
 
 
 def enumerate_standard(m):
@@ -184,27 +196,6 @@ def is_indecomposable(coords, m, support=None):
     return not _closure_mask(letters, rest, m) & 1
 
 
-def _simplex_points(k, total):
-    """Number of x in N^k with x1 + ... + xk <= total."""
-    return math.comb(total + k, k)
-
-
-def _iter_simplex(k, total):
-    """All vectors in N^k with coordinate sum <= total, lexicographic order."""
-    coords = [0] * k
-
-    def rec(pos, left):
-        if pos == k:
-            yield tuple(coords)
-            return
-        for v in range(left + 1):
-            coords[pos] = v
-            yield from rec(pos + 1, left - v)
-        coords[pos] = 0
-
-    yield from rec(0, total)
-
-
 def naive_minimal_solutions(m, weights, max_points=DEFAULT_POINT_BUDGET):
     """Three-step oracle: scan the simplex |x|_1 <= m, keep solutions,
     drop the non-minimal ones.  Independent of the DFS engine."""
@@ -212,14 +203,17 @@ def naive_minimal_solutions(m, weights, max_points=DEFAULT_POINT_BUDGET):
         raise DomainError("modulus must be >= 2")
     weights = tuple(w % m for w in weights)
     k = len(weights)
-    points = _simplex_points(k, m)
+    points = math.comb(m + k, k)
     if points > max_points:
         raise BudgetExceeded(
             f"simplex scan needs {points} points, budget is {max_points}",
             required=points,
         )
     solutions = []
-    for x in _iter_simplex(k, m):
+    # the points x of N^k with |x|_1 <= m, lexicographic: the last part
+    # of an m-composition into k + 1 parts is the slack m - |x|_1
+    for point in compositions(m, k + 1):
+        x = point[:-1]
         if any(x) and sum(w * c for w, c in zip(weights, x)) % m == 0:
             solutions.append(x)
     solution_set = set(solutions)
@@ -231,22 +225,11 @@ def naive_minimal_solutions(m, weights, max_points=DEFAULT_POINT_BUDGET):
 
 
 def _dominates_some(x, solution_set):
-    """True iff some solution y with 0 < y < x exists in solution_set."""
-    ranges = [range(c + 1) for c in x]
-    coords = [0] * len(x)
-
-    def rec(pos):
-        if pos == len(x):
-            y = tuple(coords)
-            return any(coords) and y != x and y in solution_set
-        for v in ranges[pos]:
-            coords[pos] = v
-            if rec(pos + 1):
-                return True
-        coords[pos] = 0
-        return False
-
-    return rec(0)
+    """True iff some solution y with 0 < y < x exists in solution_set;
+    the set holds no zero vector, so y = 0 needs no test."""
+    return any(
+        y in solution_set and y != x for y in product(*[range(c + 1) for c in x])
+    )
 
 
 def enumerate_naive(m, J=None, max_points=DEFAULT_POINT_BUDGET):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
 
-from .core import CongruenceInstance, DomainError, binomial
+from .core import CongruenceInstance, DomainError, binomial, compositions
 from .enumeration import EnumerationResult
 
 
@@ -36,16 +36,7 @@ def build_plan(inst: CongruenceInstance) -> ReductionPlan:
 
 def _compositions(total, parts):
     """Ordered splittings of `total` into `parts` parts, colexicographic."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in _compositions(total - last, parts - 1):
-            yield rest + (last,)
+    return (c[::-1] for c in compositions(total, parts))
 
 
 def _check_pair(plan, normal_solutions):
@@ -65,7 +56,7 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = No
 
     The whole set is built and sorted before the first row is returned,
     so memory and the time to the first row grow with the set; lazy
-    generation in lexicographic order is ROADMAP item 4.
+    generation in lexicographic order is ROADMAP item 6.
     """
     _check_pair(plan, normal_solutions)
     n = sum(plan.class_sizes)
@@ -84,13 +75,13 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = No
     # n = 1 is always in order, and must be: itemgetter(i) returns a
     # scalar, not a 1-tuple
     pick = None if inverse == list(range(n)) else itemgetter(*inverse)
-    compositions = {}
+    splits = {}
     for y in normal_solutions.solutions:
         tables = []
         for yr, size in zip(y, sizes):
-            table = compositions.get((yr, size))
+            table = splits.get((yr, size))
             if table is None:
-                table = compositions[yr, size] = tuple(_compositions(yr, size))
+                table = splits[yr, size] = tuple(_compositions(yr, size))
             tables.append(table)
         tables.append(padding)
         rows = map(tuple, map(chain.from_iterable, product(*tables)))

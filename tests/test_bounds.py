@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -129,6 +132,46 @@ def test_partition_function():
     assert partition_count(23) == 1255
     for m, expected in tables.M_TIMES_P.items():
         assert m * partition_count(m) == expected
+
+
+def test_bound_r_floor_is_exact_past_the_table():
+    # independently, without square roots and with pi at 3m digits:
+    # N <= X < N + 1 for X = 4^(m-1) / (2 sqrt(pi) sqrt(m-1)) iff
+    # 4 pi (m-1) N^2 <= 16^(m-1) < 4 pi (m-1) (N+1)^2
+    import mpmath
+
+    for m in range(4, 301):
+        n = bound_r(m)
+        with mpmath.workdps(3 * m):
+            scale = 4 * mpmath.pi * (m - 1)
+            assert scale * n**2 <= 16 ** (m - 1) < scale * (n + 1) ** 2, m
+
+
+def test_partition_count_runs_deep_in_a_fresh_interpreter():
+    # a first call at a large m must not recurse through smaller ones
+    code = (
+        "from congruence_atoms.bounds import partition_count\n"
+        "print(partition_count(5000))\n"
+        "print(partition_count(1000))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    p5000, p1000 = map(int, proc.stdout.split())
+    # the coefficients of Euler's product 1/prod(1 - q^k), k = 1..1000;
+    # P(5000) came from the same product taken up to k = 5000
+    p = [1] + [0] * 1000
+    for k in range(1, 1001):
+        for j in range(k, 1001):
+            p[j] += p[j - k]
+    assert p1000 == p[1000]
+    assert p5000 == int(
+        "16982016882544212185197510168930643136"
+        "1757683049829233322203824652329144349"
+    )
 
 
 def test_partition_function_against_brute_force():

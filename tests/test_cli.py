@@ -480,6 +480,19 @@ def test_solve_max_rows(capsys):
     assert "capped" in err
 
 
+def test_solve_max_rows_caps_only_when_a_row_is_left(capsys):
+    argv = ["solve", "--modulus", "5", "--coeffs", "1,2,3,4", "--format", "csv"]
+    _, full, _ = run_cli(argv, capsys)
+    rows = full.splitlines()
+    assert len(rows) == 15  # header + ell(5) = 14 records
+    for cap, capped in ((0, True), (13, True), (14, False), (15, False)):
+        code, out, err = run_cli(argv + ["--max-rows", str(cap)], capsys)
+        assert code == 0
+        assert out.splitlines() == rows[: cap + 1]
+        assert (f"output capped at {cap} rows" in err) == capped
+        assert f"count={min(cap, 14)} " in err
+
+
 def test_solve_negative_max_rows_is_a_domain_error(capsys):
     code, out, err = run_cli(
         ["solve", "--modulus", "5", "--coeffs", "1,2,3,4", "--max-rows", "-1"],
@@ -504,6 +517,31 @@ def test_bounds_command(capsys):
     lines = out.splitlines()
     assert lines[0] == "m,ell,log2_ell,q,r,m_times_p,ell_source"
     assert lines[1].startswith("4,6,2.6,6,10,20,")
+
+
+def test_bounds_past_the_reference_tables(capsys):
+    code, out, err = run_cli(["bounds", "4", "80"], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 78
+    assert lines[-1].startswith("80,,,") and lines[-1].endswith(",unknown")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "1200", "--support", "1"],
+        ["enumerate", "1200", "--support", "1", "--count-only"],
+        ["solve", "--modulus", "1200", "--coeffs", "1,1199", "--count-only"],
+    ],
+    ids=["enumerate", "count-only", "solve"],
+)
+def test_walk_past_the_recursion_limit_is_a_budget_refusal(capsys, argv):
+    # the one atom over {1} is x = (1200): a walk 1199 letters deep
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
 
 
 def test_bounds_print_oeis(capsys):

@@ -1,4 +1,5 @@
 import math
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from congruence_atoms import (
     metrics,
     weight_mod,
 )
+from congruence_atoms.core import compositions
 
 vectors = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=12)
 
@@ -153,3 +155,23 @@ def test_normal_form_validation():
         NormalForm(6, (0, 2))
     with pytest.raises(DomainError):
         NormalForm(6, (2, 6))
+
+
+def test_compositions_are_lexicographic_stars_and_bars():
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(3, 0)) == []
+    assert list(compositions(4, 1)) == [(4,)]
+    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    for total in range(7):
+        for parts in range(1, 5):
+            box = product(range(total + 1), repeat=parts)
+            expected = [c for c in box if sum(c) == total]
+            assert list(compositions(total, parts)) == expected
+            assert len(expected) == math.comb(total + parts - 1, parts - 1)
+
+
+def test_compositions_are_lazy():
+    # C(10^6 + 4, 4) tuples: only a lazy generator returns the first few
+    n = 10**6
+    first = list(islice(compositions(n, 5), 3))
+    assert first == [(0, 0, 0, 0, n), (0, 0, 0, 1, n - 1), (0, 0, 0, 2, n - 2)]

@@ -1,6 +1,7 @@
 import math
+import operator
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,27 @@ def test_oracle_equivalence():
 def test_naive_reference_counts():
     assert enumerate_naive(2).solutions == ((2,),)
     assert enumerate_naive(10).count == 165
+
+
+def test_naive_matches_brute_force_minimal_filter():
+    # the simplex scan, in order, against every point of the box
+    # [0, m]^k cut to |x|_1 <= m and a quadratic minimality filter
+    def brute(m, weights):
+        points = product(range(m + 1), repeat=len(weights))
+        sols = [
+            x for x in points
+            if 0 < sum(x) <= m and sum(map(operator.mul, weights, x)) % m == 0
+        ]
+        return tuple(x for x in sols if not any(y != x and leq(y, x) for y in sols))
+
+    rng = random.Random(8)
+    cases = [(m, tuple(range(1, m))) for m in range(2, 8)]
+    for m in range(2, 10):
+        for _ in range(19):
+            k = rng.randint(1, 4)
+            cases.append((m, tuple(rng.randint(-m, 2 * m) for _ in range(k))))
+    for m, weights in cases:
+        assert naive_minimal_solutions(m, weights) == brute(m, weights), (m, weights)
 
 
 def test_naive_budget_refusal():
