@@ -230,6 +230,8 @@ def _cache_store(directory, m, J, solutions):
 
 def cmd_enumerate(args):
     out, err = sys.stdout, sys.stderr
+    if args.max_points < 0:
+        raise DomainError(f"--max-points must be >= 0, got {args.max_points}")
     m = args.m
     # one canonical J (sorted) for the columns, the cache key and --naive
     J = None
@@ -416,6 +418,9 @@ def _verify_invariants(args, checks):
 
 def cmd_verify(args):
     out, err = sys.stdout, sys.stderr
+    # written so that NaN is refused too
+    if not args.time_budget >= 0:
+        raise DomainError(f"--time-budget must be >= 0, got {args.time_budget}")
     checks = []
     suites = {
         "tables": _verify_tables,

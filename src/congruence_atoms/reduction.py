@@ -3,14 +3,18 @@
 A general instance is partitioned by coefficient residue; the normal
 form over J = {r > 0 : some a_i = r mod m} is solved once, and its
 solutions are lifted by distributing each y_r over the indices of the
-class I_r in every possible way.
+class I_r in every possible way.  The lift is streamed in lexicographic
+order by a walk over the index positions that builds and sorts one
+bounded bucket of rows at a time, so its memory does not grow with the
+number of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
-from operator import itemgetter
+from itertools import chain, groupby, product, starmap
+from math import comb
+from operator import add, itemgetter
 
 from .core import CongruenceInstance, DomainError, binomial, compositions
 from .enumeration import EnumerationResult
@@ -34,9 +38,40 @@ def build_plan(inst: CongruenceInstance) -> ReductionPlan:
     return ReductionPlan(m, sizes, tuple(tuple(c) for c in classes), support)
 
 
-def _compositions(total, parts):
-    """Ordered splittings of `total` into `parts` parts, colexicographic."""
-    return (c[::-1] for c in compositions(total, parts))
+class _Splits(dict):
+    """The compositions of `total` into `parts` parts, tabulated once per
+    (total, parts) key."""
+
+    def __missing__(self, key):
+        table = self[key] = tuple(compositions(*key))
+        return table
+
+
+class _Layouts(dict):
+    """For (p, spread): the itemgetter that puts a row back in index order
+    from its built order, or None when that is index order.  A row below
+    position p is built as the prefix, then the remaining indices of the
+    classes whose slot is not in `spread`, then those of the classes in
+    `spread`, each class in slot order."""
+
+    def __init__(self, classes):
+        super().__init__()
+        self.classes = classes
+
+    def __missing__(self, key):
+        p, spread = key
+        tail = [[i for i in idxs if i >= p] for idxs in self.classes]
+        built = list(range(p))
+        built += [i for s, b in enumerate(tail) if s not in spread for i in b]
+        built += [i for s in spread for i in tail[s]]
+        inverse = [0] * len(built)
+        for pos, i in enumerate(built):
+            inverse[i] = pos
+        # n = 1 is always in order, and must be: itemgetter(i) returns a
+        # scalar, not a 1-tuple
+        in_order = built == list(range(len(built)))
+        pick = self[key] = None if in_order else itemgetter(*inverse)
+        return pick
 
 
 def _check_pair(plan, normal_solutions):
@@ -50,44 +85,137 @@ def _check_pair(plan, normal_solutions):
         raise DomainError("support mismatch between plan and normal solutions")
 
 
-def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = None):
-    """All indecomposable solutions of the general instance, in
-    lexicographic order, as an iterator over a list.
+# a subtree of the lift walk holding at most this many rows is built
+# whole and sorted: a bucket bounds the memory a streamed lift needs
+BUCKET_ROWS = 4096
 
-    The whole set is built and sorted before the first row is returned,
-    so memory and the time to the first row grow with the set; lazy
-    generation in lexicographic order is ROADMAP item 6.
+
+def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = None):
+    """All indecomposable solutions of the general instance, lazily and
+    in lexicographic order.
+
+    The rows come from a depth-first walk over the original index
+    positions, with an explicit stack.  A node of the walk is a prefix
+    of values, the atoms still consistent with it and how much of each
+    residue class the prefix has placed.  The zero class is lifted as the
+    pseudo-atom y_0 = 1, so the unit rows e_i take their places in the
+    order like any other row.  At the last index of a class the value is
+    forced per atom; elsewhere it runs 0, 1, ... up to the largest
+    remainder.  A node whose subtree holds at most `BUCKET_ROWS` rows is
+    built whole and sorted.  Besides the atoms, the stream holds at most
+    n sorted lists of them on the stack and one bucket of rows at a time,
+    however many rows there are.
+
+    The plan and the normal solutions are checked here, not when the
+    result is first iterated.
     """
     _check_pair(plan, normal_solutions)
-    n = sum(plan.class_sizes)
-    zero_class = plan.index_classes[0]
-    out = [tuple(int(i == j) for j in range(n)) for i in zero_class]
-    if normal_solutions is None:
-        return iter(sorted(out))
-    slots = [plan.index_classes[r] for r in plan.support]
-    sizes = [len(idxs) for idxs in slots]
-    # a lifted row is built class by class in support order, then zeros
-    # for class 0; `inverse` puts its entries back in original index order
-    inverse = [0] * n
-    for pos, i in enumerate([i for idxs in slots for i in idxs] + list(zero_class)):
-        inverse[i] = pos
-    padding = ((0,) * len(zero_class),)
-    # n = 1 is always in order, and must be: itemgetter(i) returns a
-    # scalar, not a 1-tuple
-    pick = None if inverse == list(range(n)) else itemgetter(*inverse)
-    splits = {}
-    for y in normal_solutions.solutions:
+    solutions = () if normal_solutions is None else normal_solutions.solutions
+    return chain.from_iterable(_buckets(plan, solutions))
+
+
+def _rows_at_most(limit, atoms, placed, left):
+    """Whether the subtree holds at most `limit` rows: sum over the atoms
+    of prod_r C(k_r + rem_r - 1, rem_r), k_r the positions left in class
+    r and rem_r what is left of y_r, stopping once past the limit."""
+    total = 0
+    for y in atoms:
+        rows = 1
+        for s, k in left:
+            rem = y[s] - placed[s]
+            if rem:
+                rows *= comb(k + rem - 1, rem)
+        total += rows
+        if total > limit:
+            return False
+    return True
+
+
+def _bucket_rows(prefix, placed, atoms, left, layouts, splits):
+    """The rows below a node of the walk, sorted.  Per atom, a class with
+    one way left to split what remains of it joins the prefix as a
+    constant block; the product of the other classes' composition tables
+    is concatenated after it, a table at a time, and `layouts` puts each
+    row back in index order."""
+    rows = []
+    for y in atoms:
+        head = prefix
+        spread = []
         tables = []
-        for yr, size in zip(y, sizes):
-            table = splits.get((yr, size))
-            if table is None:
-                table = splits[yr, size] = tuple(_compositions(yr, size))
-            tables.append(table)
-        tables.append(padding)
-        rows = map(tuple, map(chain.from_iterable, product(*tables)))
-        out.extend(rows if pick is None else map(pick, rows))
-    out.sort()
-    return iter(out)
+        for s, k in left:
+            table = splits[y[s] - placed[s], k]
+            if len(table) == 1:
+                head += table[0]
+            else:
+                spread.append(s)
+                tables.append(table)
+        pick = layouts[len(prefix), tuple(spread)]
+        # product() takes in the rows built so far whole
+        built = (head,)
+        for table in tables:
+            built = starmap(add, product(built, table))
+        rows.extend(built if pick is None else map(pick, built))
+    rows.sort()
+    return rows
+
+
+def _children(prefix, placed, atoms, s, last):
+    """The children of a node of the walk in order of the value at its
+    position, which belongs to class slot s and is the last index of
+    that class if `last`."""
+    done = placed[s]
+    key = itemgetter(s)
+    atoms = sorted(atoms, key=key)
+    if last:
+        # each atom forces the value; placed[s] is never read again
+        for ys, group in groupby(atoms, key):
+            yield prefix + (ys - done,), placed, list(group)
+        return
+    # child v keeps the atoms with at least v of class s left: a suffix
+    # of the sorted list
+    start = 0
+    for v in range(atoms[-1][s] - done + 1):
+        while atoms[start][s] - done < v:
+            start += 1
+        yield prefix + (v,), placed[:s] + (done + v,) + placed[s + 1 :], atoms[start:]
+
+
+def _buckets(plan, solutions):
+    """The walk of `lift_solutions`: its buckets in order, each a sorted
+    list of rows."""
+    # slot s of an atom is its total on the s-th non-empty class: class 0
+    # (if any) first, then the support in order
+    classes = [idxs for idxs in plan.index_classes if idxs]
+    atoms = list(solutions)
+    if plan.class_sizes[0]:
+        atoms = [(1,) + (0,) * len(plan.support)] + [(0,) + y for y in atoms]
+    n = sum(plan.class_sizes)
+    slot = [0] * n
+    last = [False] * n
+    for s, idxs in enumerate(classes):
+        for i in idxs:
+            slot[i] = s
+        last[idxs[-1]] = True
+    # left[p]: (slot, positions >= p) for the classes not complete
+    # before p
+    left = []
+    for p in range(n + 1):
+        counts = ((s, sum(i >= p for i in idxs)) for s, idxs in enumerate(classes))
+        left.append(tuple((s, k) for s, k in counts if k))
+    layouts = _Layouts(classes)
+    splits = _Splits()
+    stack = [iter([((), (0,) * len(classes), atoms)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        prefix, placed, atoms = node
+        p = len(prefix)
+        if p < n and not _rows_at_most(BUCKET_ROWS, atoms, placed, left[p]):
+            stack.append(_children(prefix, placed, atoms, slot[p], last[p]))
+        else:
+            yield _bucket_rows(prefix, placed, atoms, left[p], layouts, splits)
 
 
 def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult = None):

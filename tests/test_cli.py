@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -63,6 +64,19 @@ def test_enumerate_budget_refusal(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_enumerate_negative_max_points_is_a_domain_error(capsys):
+    # zero is a valid budget: the scan is refused, the input is not
+    code, _, err = run_cli(["enumerate", "12", "--naive", "--max-points", "0"], capsys)
+    assert code == 3 and "budget" in err
+    for extra in (["--naive"], []):
+        code, out, err = run_cli(
+            ["enumerate", "12", *extra, "--max-points", "-1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_weight_uses_the_coefficients(capsys):
@@ -503,6 +517,25 @@ def test_solve_negative_max_rows_is_a_domain_error(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_solve_streams_the_first_rows_of_a_huge_lift(capsys):
+    # forty coefficients 1 mod 17: N = C(56, 17), about 9.8e13 rows, so
+    # only a streamed lift can print the first five
+    coeffs = ",".join(["1"] * 40)
+    started = time.monotonic()
+    code, out, err = run_cli(
+        ["solve", "--modulus", "17", "--coeffs", coeffs, "--max-rows", "5"], capsys
+    )
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    zeros = "0," * 38
+    assert out.splitlines() == [
+        f"x=({zeros}{v},{17 - v}) length=17 width={1 + (v > 0)} weight=17 "
+        f"total_size={18 + (v > 0)}"
+        for v in range(5)
+    ]
+    assert "output capped at 5 rows" in err
+
+
 def test_extremal_command(capsys):
     code, out, _ = run_cli(["extremal", "6", "--format", "json"], capsys)
     assert code == 0
@@ -640,6 +673,17 @@ def test_verify_time_budget_marks_unverified(capsys):
     )
     assert out.count("SKIP table1 ell(") == 7
     assert err.strip() == "suite=tables checks=22 passed=15 failed=0 skipped=7"
+
+
+@pytest.mark.parametrize("budget", ["-1", "-0.5", "nan"])
+def test_verify_negative_time_budget_is_a_domain_error(budget, capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "tables", "--m-max", "8", "--time-budget", budget],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_console_script_runs():

@@ -1,4 +1,7 @@
 import random
+import time
+import tracemalloc
+from itertools import islice, product
 
 import pytest
 
@@ -12,7 +15,9 @@ from congruence_atoms import (
     general_support_bounds_check,
     lift_solutions,
     naive_minimal_solutions,
+    reduction,
 )
+from congruence_atoms.core import compositions
 
 
 def normal_for(plan):
@@ -70,8 +75,9 @@ def test_count_formula_examples():
 def test_mismatched_support_rejected():
     plan = build_plan(CongruenceInstance(6, (2, 3)))
     wrong = enumerate_normal_form(NormalForm(6, (1, 2)))
+    # the lift is a stream, but a bad pair is refused by the call itself
     with pytest.raises(DomainError):
-        list(lift_solutions(plan, wrong))
+        lift_solutions(plan, wrong)
     with pytest.raises(DomainError):
         lift_solutions(plan, None)
 
@@ -130,12 +136,107 @@ def test_general_support_bounds_hold_on_lifts():
             assert general_support_bounds_check(x, inst), (m, coeffs, x)
 
 
-def test_compositions_are_colexicographic():
-    from congruence_atoms.reduction import _compositions
+def reference_lift(plan, normal):
+    """The lift built whole: every unit row of the zero class, then per
+    atom the product of the composition tables of its classes, sorted."""
+    n = sum(plan.class_sizes)
+    rows = [tuple(int(i == j) for j in range(n)) for i in plan.index_classes[0]]
+    for y in normal.solutions if normal is not None else ():
+        tables = [
+            list(compositions(yr, plan.class_sizes[r]))
+            for r, yr in zip(plan.support, y)
+        ]
+        for combo in product(*tables):
+            row = [0] * n
+            for r, split in zip(plan.support, combo):
+                for i, v in zip(plan.index_classes[r], split):
+                    row[i] = v
+            rows.append(tuple(row))
+    return sorted(rows)
 
-    comps = list(_compositions(2, 2))
-    assert comps == [(2, 0), (1, 1), (0, 2)]
-    comps = list(_compositions(3, 3))
-    assert comps == sorted(comps, key=lambda c: c[::-1])
-    assert all(sum(c) == 3 for c in comps)
-    assert len(comps) == 10
+
+def equality_instances(count, max_rows):
+    """Seeded instances with m <= 12 and n <= 10, cycling through the
+    shapes the walk treats apart: any coefficients, a zero class, n = 1,
+    one residue class and two classes interleaved.  Instances of more
+    than `max_rows` rows are drawn again, to bound the test's time."""
+    rng = random.Random(20261018)
+    shapes = ("any", "zero", "single-index", "one-class", "interleaved")
+    out = []
+    while len(out) < count:
+        shape = shapes[len(out) % len(shapes)]
+        m = rng.randint(2, 12)
+        n = 1 if shape == "single-index" else rng.randint(1, 10)
+        if shape == "one-class":
+            coeffs = (rng.randrange(m),) * n
+        elif shape == "interleaved":
+            a, b = rng.sample(range(m), 2)
+            coeffs = tuple((a, b)[i % 2] for i in range(n))
+        else:
+            coeffs = [rng.randrange(m) for _ in range(n)]
+            if shape == "zero":
+                coeffs[rng.randrange(n)] = 0
+            coeffs = tuple(coeffs)
+        plan = build_plan(CongruenceInstance(m, coeffs))
+        if count_general(plan, normal_cached(plan)) <= max_rows:
+            out.append(plan)
+    return out
+
+
+_NORMAL = {}
+
+
+def normal_cached(plan):
+    key = plan.modulus, plan.support
+    if key not in _NORMAL:
+        _NORMAL[key] = normal_for(plan)
+    return _NORMAL[key]
+
+
+@pytest.mark.parametrize("bucket_rows", [0, 1, 7, None])
+def test_lift_equals_the_sorted_reference(bucket_rows, monkeypatch):
+    # bucket limits 0, 1 and 7 end the walk at every depth, down to
+    # single rows; None keeps the default
+    if bucket_rows is not None:
+        monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
+    plans = equality_instances(3000, 400)
+    assert {plan.modulus for plan in plans} == set(range(2, 13))
+    for plan in plans:
+        normal = normal_cached(plan)
+        expected = reference_lift(plan, normal)
+        assert list(lift_solutions(plan, normal)) == expected, plan
+
+
+# m = 17, ten residues three times each: 699 atoms and 285,900 rows
+THREE_CLASSES = (
+    13, 14, 7, 16, 12, 9, 8, 4, 16, 13, 14, 9, 13, 1, 5,
+    7, 7, 5, 1, 14, 12, 4, 1, 9, 4, 5, 8, 8, 12, 16,
+)
+
+
+def test_first_row_does_not_wait_for_the_whole_lift():
+    # a lift built whole and sorted before its first row needs over a
+    # second here on a 2-core host; the stream needs a few milliseconds
+    plan = build_plan(CongruenceInstance(17, THREE_CLASSES))
+    normal = normal_for(plan)
+    assert count_general(plan, normal) == 285_900
+    started = time.monotonic()
+    first = next(lift_solutions(plan, normal))
+    assert time.monotonic() - started < 0.5
+    assert first == (0,) * 29 + (17,)
+
+
+def test_streamed_lift_memory_does_not_grow_with_the_rows():
+    # m = 13 over 1..12 five times: N = 3,124,670 rows of 60 coordinates,
+    # about 1.6 GB as tuples; 2e5 of them alone would be about 100 MB
+    plan = build_plan(CongruenceInstance(13, tuple(range(1, 13)) * 5))
+    normal = normal_for(plan)
+    assert count_general(plan, normal) == 3_124_670
+    tracemalloc.start()
+    try:
+        drained = sum(1 for _ in islice(lift_solutions(plan, normal), 200_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drained == 200_000
+    assert peak < 16 * 2**20
