@@ -230,8 +230,12 @@ def _cache_store(directory, m, J, solutions):
 
 def cmd_enumerate(args):
     out, err = sys.stdout, sys.stderr
-    if args.max_points < 0:
-        raise DomainError(f"--max-points must be >= 0, got {args.max_points}")
+    # None when the flag was not given: only the --naive scan takes a budget
+    budget = args.max_points
+    if budget is not None and budget < 0:
+        raise DomainError(f"--max-points must be >= 0, got {budget}")
+    if budget is not None and not args.naive:
+        raise DomainError("--max-points bounds the --naive scan only")
     m = args.m
     # one canonical J (sorted) for the columns, the cache key and --naive
     J = None
@@ -248,7 +252,9 @@ def cmd_enumerate(args):
         solutions = _cache_load(args.cache, m, J)
     if solutions is None:
         if args.naive:
-            solutions = enumerate_naive(m, J, max_points=args.max_points).solutions
+            if budget is None:
+                budget = DEFAULT_POINT_BUDGET
+            solutions = enumerate_naive(m, J, max_points=budget).solutions
         elif J is not None:
             solutions = enumerate_normal_form(NormalForm(m, J)).solutions
         else:
@@ -429,6 +435,8 @@ def cmd_verify(args):
         "invariants": _verify_invariants,
     }
     suites[args.suite](args, checks)
+    if not checks:
+        raise DomainError(f"suite {args.suite} has no check for --m-max {args.m_max}")
     tally = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for name, ok in checks:
         verdict = "SKIP" if ok is SKIPPED else "PASS" if ok else "FAIL"
@@ -460,7 +468,11 @@ def build_parser():
         action="store_true",
         help="print the number of solutions without building them or using the cache",
     )
-    p.add_argument("--max-points", type=int, default=DEFAULT_POINT_BUDGET)
+    p.add_argument(
+        "--max-points",
+        type=int,
+        help=f"point budget of the --naive scan (default {DEFAULT_POINT_BUDGET})",
+    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="solve a general congruence instance")

@@ -43,6 +43,11 @@ def compositions(total, parts):
         if total == 0:
             yield ()
         return
+    if parts == 1:
+        # no cut points, and combinations_with_replacement would copy
+        # range(total + 1) first
+        yield (total,)
+        return
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 

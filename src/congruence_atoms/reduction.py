@@ -6,15 +6,18 @@ solutions are lifted by distributing each y_r over the indices of the
 class I_r in every possible way.  The lift is streamed in lexicographic
 order by a walk over the index positions that builds and sorts one
 bounded bucket of rows at a time, so its memory does not grow with the
-number of rows.
+number of rows.  While a row is built and sorted it is one int, each
+coordinate a digit of a fixed byte width, so numeric order is
+lexicographic order; a sorted bucket is decoded to tuples in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, product, starmap
+from itertools import chain, groupby, product, repeat, starmap
 from math import comb
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
+from struct import Struct
 
 from .core import CongruenceInstance, DomainError, binomial, compositions
 from .enumeration import EnumerationResult
@@ -38,40 +41,22 @@ def build_plan(inst: CongruenceInstance) -> ReductionPlan:
     return ReductionPlan(m, sizes, tuple(tuple(c) for c in classes), support)
 
 
-class _Splits(dict):
-    """The compositions of `total` into `parts` parts, tabulated once per
-    (total, parts) key."""
+class _Tables(dict):
+    """For (remainder, class slot s, positions k left in the class): the
+    packed values of the compositions of the remainder over the last k
+    indices of class s, tabulated once per key.  `place[i]` is the place
+    value of index i."""
 
-    def __missing__(self, key):
-        table = self[key] = tuple(compositions(*key))
-        return table
-
-
-class _Layouts(dict):
-    """For (p, spread): the itemgetter that puts a row back in index order
-    from its built order, or None when that is index order.  A row below
-    position p is built as the prefix, then the remaining indices of the
-    classes whose slot is not in `spread`, then those of the classes in
-    `spread`, each class in slot order."""
-
-    def __init__(self, classes):
+    def __init__(self, classes, place):
         super().__init__()
         self.classes = classes
+        self.place = place
 
     def __missing__(self, key):
-        p, spread = key
-        tail = [[i for i in idxs if i >= p] for idxs in self.classes]
-        built = list(range(p))
-        built += [i for s, b in enumerate(tail) if s not in spread for i in b]
-        built += [i for s in spread for i in tail[s]]
-        inverse = [0] * len(built)
-        for pos, i in enumerate(built):
-            inverse[i] = pos
-        # n = 1 is always in order, and must be: itemgetter(i) returns a
-        # scalar, not a 1-tuple
-        in_order = built == list(range(len(built)))
-        pick = self[key] = None if in_order else itemgetter(*inverse)
-        return pick
+        rem, s, k = key
+        units = [self.place[i] for i in self.classes[s][-k:]]
+        table = self[key] = tuple(sum(map(mul, c, units)) for c in compositions(rem, k))
+        return table
 
 
 def _check_pair(plan, normal_solutions):
@@ -88,6 +73,9 @@ def _check_pair(plan, normal_solutions):
 # a subtree of the lift walk holding at most this many rows is built
 # whole and sorted: a bucket bounds the memory a streamed lift needs
 BUCKET_ROWS = 4096
+
+# the digit widths of a packed row, in bytes, and their struct codes
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = None):
@@ -106,12 +94,21 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = No
     n sorted lists of them on the stack and one bucket of rows at a time,
     however many rows there are.
 
+    A row is the int sum of x_i * B^(n-1-i) while it is built and
+    sorted, with B = 2^(8w) and w in {1, 2, 4, 8} bytes the narrowest
+    width above the largest atom entry (no lifted coordinate is larger).
+    Each sorted bucket is decoded to tuples by one struct call.
+
     The plan and the normal solutions are checked here, not when the
     result is first iterated.
     """
     _check_pair(plan, normal_solutions)
     solutions = () if normal_solutions is None else normal_solutions.solutions
-    return chain.from_iterable(_buckets(plan, solutions))
+    top = max(map(max, solutions), default=0)
+    width = next((w for w in _CODES if top < 1 << 8 * w), None)
+    if width is None:
+        raise DomainError(f"an atom entry of {top} does not fit in 64 bits")
+    return chain.from_iterable(_buckets(plan, solutions, width))
 
 
 def _rows_at_most(limit, atoms, placed, left):
@@ -131,45 +128,40 @@ def _rows_at_most(limit, atoms, placed, left):
     return True
 
 
-def _bucket_rows(prefix, placed, atoms, left, layouts, splits):
-    """The rows below a node of the walk, sorted.  Per atom, a class with
-    one way left to split what remains of it joins the prefix as a
-    constant block; the product of the other classes' composition tables
-    is concatenated after it, a table at a time, and `layouts` puts each
-    row back in index order."""
+def _bucket_rows(prefix, placed, atoms, left, tables):
+    """The packed rows below a node of the walk, sorted.  Per atom, a
+    class with one way left to split what remains of it is added to the
+    prefix; the other classes' tables are added on, a table at a time."""
     rows = []
     for y in atoms:
         head = prefix
         spread = []
-        tables = []
         for s, k in left:
-            table = splits[y[s] - placed[s], k]
+            table = tables[y[s] - placed[s], s, k]
             if len(table) == 1:
                 head += table[0]
             else:
-                spread.append(s)
-                tables.append(table)
-        pick = layouts[len(prefix), tuple(spread)]
+                spread.append(table)
         # product() takes in the rows built so far whole
         built = (head,)
-        for table in tables:
+        for table in spread:
             built = starmap(add, product(built, table))
-        rows.extend(built if pick is None else map(pick, built))
+        rows.extend(built)
     rows.sort()
     return rows
 
 
-def _children(prefix, placed, atoms, s, last):
-    """The children of a node of the walk in order of the value at its
-    position, which belongs to class slot s and is the last index of
-    that class if `last`."""
+def _children(prefix, p, placed, atoms, s, last, unit):
+    """The children of a node of the walk at position p in order of the
+    value at p, which has place value `unit`, belongs to class slot s and
+    is the last index of that class if `last`."""
     done = placed[s]
     key = itemgetter(s)
     atoms = sorted(atoms, key=key)
     if last:
         # each atom forces the value; placed[s] is never read again
         for ys, group in groupby(atoms, key):
-            yield prefix + (ys - done,), placed, list(group)
+            yield prefix + (ys - done) * unit, p + 1, placed, list(group)
         return
     # child v keeps the atoms with at least v of class s left: a suffix
     # of the sorted list
@@ -177,12 +169,13 @@ def _children(prefix, placed, atoms, s, last):
     for v in range(atoms[-1][s] - done + 1):
         while atoms[start][s] - done < v:
             start += 1
-        yield prefix + (v,), placed[:s] + (done + v,) + placed[s + 1 :], atoms[start:]
+        placed_v = placed[:s] + (done + v,) + placed[s + 1 :]
+        yield prefix + v * unit, p + 1, placed_v, atoms[start:]
 
 
-def _buckets(plan, solutions):
-    """The walk of `lift_solutions`: its buckets in order, each a sorted
-    list of rows."""
+def _buckets(plan, solutions, width):
+    """The walk of `lift_solutions`: its buckets in order, each an
+    iterator over sorted rows with coordinates `width` bytes wide."""
     # slot s of an atom is its total on the s-th non-empty class: class 0
     # (if any) first, then the support in order
     classes = [idxs for idxs in plan.index_classes if idxs]
@@ -202,20 +195,22 @@ def _buckets(plan, solutions):
     for p in range(n + 1):
         counts = ((s, sum(i >= p for i in idxs)) for s, idxs in enumerate(classes))
         left.append(tuple((s, k) for s, k in counts if k))
-    layouts = _Layouts(classes)
-    splits = _Splits()
-    stack = [iter([((), (0,) * len(classes), atoms)])]
+    place = [1 << 8 * width * (n - 1 - i) for i in range(n)]
+    tables = _Tables(classes, place)
+    size = n * width
+    decode = Struct(f">{n}{_CODES[width]}").iter_unpack
+    stack = [iter([(0, 0, (0,) * len(classes), atoms)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
-        prefix, placed, atoms = node
-        p = len(prefix)
+        prefix, p, placed, atoms = node
         if p < n and not _rows_at_most(BUCKET_ROWS, atoms, placed, left[p]):
-            stack.append(_children(prefix, placed, atoms, slot[p], last[p]))
+            stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], place[p]))
         else:
-            yield _bucket_rows(prefix, placed, atoms, left[p], layouts, splits)
+            rows = _bucket_rows(prefix, placed, atoms, left[p], tables)
+            yield decode(b"".join(map(int.to_bytes, rows, repeat(size), repeat("big"))))
 
 
 def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult = None):

@@ -79,6 +79,16 @@ def test_enumerate_negative_max_points_is_a_domain_error(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_enumerate_max_points_without_naive_is_a_domain_error(capsys):
+    # the budget bounds only the --naive scan; without it the flag would
+    # be ignored and every atom printed
+    code, out, err = run_cli(["enumerate", "12", "--max-points", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "--naive" in err
+
+
 def test_weight_uses_the_coefficients(capsys):
     # columns follow the sorted support J = (1, 3): x = (0, 7) weighs 3 * 7
     code, out, _ = run_cli(["enumerate", "7", "--support", "3,1"], capsys)
@@ -648,6 +658,17 @@ def test_verify_appendix_scans_every_size(capsys):
     ]
     assert out.count("elementary lemmas") == 3
     assert "PASS appendix scan m=16 r=5 admissible=120 min=14 floor=11" in out
+
+
+@pytest.mark.parametrize(
+    "suite, m_max",
+    [("appendix", "3"), ("extremal", "2"), ("tables", "1"), ("invariants", "1")],
+)
+def test_verify_with_no_check_in_range_is_a_domain_error(suite, m_max, capsys):
+    code, out, err = run_cli(["verify", "--suite", suite, "--m-max", m_max], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: suite {suite} has no check for --m-max {m_max}\n"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from congruence_atoms import (
     CongruenceInstance,
     DomainError,
+    EnumerationResult,
     NormalForm,
     build_plan,
     count_general,
@@ -205,6 +206,38 @@ def test_lift_equals_the_sorted_reference(bucket_rows, monkeypatch):
         normal = normal_cached(plan)
         expected = reference_lift(plan, normal)
         assert list(lift_solutions(plan, normal)) == expected, plan
+
+
+def one_atom(entry):
+    """A one-coefficient plan and a hand-built atom (entry,).  The lift
+    does not check that an atom solves the congruence, and a modulus as
+    large as the entry would need a plan of that many classes."""
+    plan = build_plan(CongruenceInstance(7, (3,)))
+    return plan, EnumerationResult(7, plan.support, ((entry,),))
+
+
+@pytest.mark.parametrize("entry", [300, 70_000, 2**40])
+def test_lift_rows_wider_than_a_byte(entry):
+    # a row packs each coordinate in 1, 2, 4 or 8 bytes, chosen by the
+    # largest atom entry: these take 2, 4 and 8
+    assert list(lift_solutions(*one_atom(entry))) == [(entry,)]
+
+
+def test_lift_with_a_zero_class_and_a_wide_entry():
+    # the zero class's unit rows and the two-byte rows of class 1 sort
+    # together; an entry above 255 would wrap in a one-byte digit
+    plan = build_plan(CongruenceInstance(300, (1, 0, 1)))
+    normal = normal_for(plan)
+    assert max(map(max, normal.solutions)) == 300
+    expected = reference_lift(plan, normal)
+    assert len(expected) == 302
+    assert list(lift_solutions(plan, normal)) == expected
+
+
+def test_lift_refuses_an_entry_past_64_bits():
+    assert list(lift_solutions(*one_atom(2**64 - 1))) == [(2**64 - 1,)]
+    with pytest.raises(DomainError):
+        lift_solutions(*one_atom(2**64))
 
 
 # m = 17, ten residues three times each: 699 atoms and 285,900 rows
