@@ -230,12 +230,14 @@ def _cache_store(directory, m, J, solutions):
 
 def cmd_enumerate(args):
     out, err = sys.stdout, sys.stderr
-    # None when the flag was not given: only the --naive scan takes a budget
-    budget = args.max_points
-    if budget is not None and budget < 0:
-        raise DomainError(f"--max-points must be >= 0, got {budget}")
-    if budget is not None and not args.naive:
-        raise DomainError("--max-points bounds the --naive scan only")
+    # the flag defaults to None so that giving it without --naive, the
+    # only scan it bounds, can be refused
+    if args.max_points is not None:
+        if args.max_points < 0:
+            raise DomainError(f"--max-points must be >= 0, got {args.max_points}")
+        if not args.naive:
+            raise DomainError("--max-points bounds the --naive scan only")
+    budget = DEFAULT_POINT_BUDGET if args.max_points is None else args.max_points
     m = args.m
     # one canonical J (sorted) for the columns, the cache key and --naive
     J = None
@@ -252,8 +254,6 @@ def cmd_enumerate(args):
         solutions = _cache_load(args.cache, m, J)
     if solutions is None:
         if args.naive:
-            if budget is None:
-                budget = DEFAULT_POINT_BUDGET
             solutions = enumerate_naive(m, J, max_points=budget).solutions
         elif J is not None:
             solutions = enumerate_normal_form(NormalForm(m, J)).solutions
