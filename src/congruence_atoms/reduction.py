@@ -83,9 +83,9 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = No
     in lexicographic order.
 
     The rows come from a depth-first walk over the original index
-    positions, with an explicit stack.  A node of the walk is a prefix
-    of values, the atoms still consistent with it and how much of each
-    residue class the prefix has placed.  The zero class is lifted as the
+    positions, with an explicit stack.  A node of the walk is a packed
+    prefix of values and its length, the atoms still consistent with it
+    and how much of each residue class the prefix has placed.  The zero class is lifted as the
     pseudo-atom y_0 = 1, so the unit rows e_i take their places in the
     order like any other row.  At the last index of a class the value is
     forced per atom; elsewhere it runs 0, 1, ... up to the largest
