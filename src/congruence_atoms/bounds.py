@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
-import mpmath
-
 from .core import DomainError, binomial
 from .enumeration import count_letters
 from . import tables
@@ -32,6 +30,8 @@ def bound_r(m):
     """Floor of 4^(m-1) / (2 sqrt(pi) sqrt(m-1)), exact floor guaranteed."""
     if m < 2:
         raise DomainError("bound_r needs m >= 2")
+    import mpmath  # imported on first use: only the real-valued bounds need it
+
     # 0.602*(m-1) digits land left of the point; keep headroom beyond them
     with mpmath.workdps(max(REAL_PRECISION_DPS, m)):
         power = mpmath.mpf(4 ** (m - 1))  # exact integer input
@@ -76,6 +76,8 @@ def stirling_central(n):
     if n < 1:
         raise DomainError("stirling_central needs n >= 1")
     value = math.comb(2 * n, n)
+    import mpmath
+
     with mpmath.workdps(REAL_PRECISION_DPS):
         e_n = mpmath.mpf(value) * mpmath.sqrt(mpmath.pi * n) / mpmath.mpf(4**n)
         lower = mpmath.e ** (mpmath.mpf(-1) / (6 * n))

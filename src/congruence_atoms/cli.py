@@ -71,46 +71,92 @@ def _parse_int_list(text, what):
 
 
 # the decimal form of every coordinate up to 255; an atom's coordinates
-# are at most m, so only a modulus above 255 ever falls back to str
+# are at most m, so only a modulus above 255 needs `_Decimal`
 _DIGITS = tuple(map(str, range(256)))
 
 
-def _record_line(coords, fmt, letters):
-    """One solution record, its fields computed from the non-negative
-    coordinates (a tuple or a bytes row) and the column coefficients
-    `letters` (None stands for the standard alphabet 1..n).  The json
-    form is what json.dumps with separators (",", ":") prints for the
-    same dict."""
-    length = sum(coords)
-    width = len(coords) - coords.count(0)
-    weight = sum(map(operator.mul, letters or range(1, len(coords) + 1), coords))
-    try:
-        digits = [_DIGITS[c] for c in coords]
-    except IndexError:
-        digits = list(map(str, coords))
-    if fmt == "json":
-        return (
-            f'{{"coords":[{",".join(digits)}],"length":{length},'
-            f'"width":{width},"weight":{weight},"total_size":{length + width}}}'
-        )
-    if fmt == "csv":
-        return f'{";".join(digits)},{length},{width},{weight},{length + width}'
-    return (
-        f'x=({",".join(digits)}) length={length} '
-        f"width={width} weight={weight} total_size={length + width}"
-    )
+class _Decimal(dict):
+    """The decimal form of each int, made on first use."""
 
+    def __missing__(self, c):
+        text = self[c] = str(c)
+        return text
+
+
+# per format, a record is head + sep.join(coordinates) + tail % (length,
+# width, weight, total size); the json form is what json.dumps with
+# separators (",", ":") prints for the same dict
+_TEMPLATES = {
+    "json": (
+        '{"coords":[',
+        ",",
+        '],"length":%d,"width":%d,"weight":%d,"total_size":%d}\n',
+    ),
+    "csv": ("", ";", ",%d,%d,%d,%d\n"),
+    "text": ("x=(", ",", ") length=%d width=%d weight=%d total_size=%d\n"),
+}
 
 CSV_HEADER = "coords,length,width,weight,total_size"
 
 
-def _emit_solutions(solutions, fmt, letters, out):
-    """Write one record per row; return the number of rows."""
+def _start_records(fmt, m, out):
+    """Write the csv header if any; return the record template and the
+    decimal forms of the coordinates 0..m."""
     if fmt == "csv":
         out.write(CSV_HEADER + "\n")
+    return _TEMPLATES[fmt], _DIGITS if m < len(_DIGITS) else _Decimal()
+
+
+def _emit_solutions(solutions, fmt, m, letters, out):
+    """Write one record per row of coordinates (a tuple or a bytes row),
+    its fields computed from the row and the column coefficients
+    `letters`; return the number of rows."""
+    (head, sep, tail), digits = _start_records(fmt, m, out)
+    write = out.write
     count = 0
     for count, coords in enumerate(solutions, 1):
-        out.write(_record_line(coords, fmt, letters) + "\n")
+        length = sum(coords)
+        width = len(coords) - coords.count(0)
+        weight = sum(map(operator.mul, letters, coords))
+        write(
+            head
+            + sep.join([digits[c] for c in coords])
+            + tail % (length, width, weight, length + width)
+        )
+    return count
+
+
+def _emit_lifted(rows, fmt, plan, atoms, out):
+    """Write one record per row of `lift_solutions(plan, ..., tagged=True)`,
+    whose last item tags the atom it was lifted from; return the number
+    of rows.  Every row lifted from atom y has length sum_r y_r and
+    weight sum_r r * y_r over the support, and a unit row of the zero
+    class (tag 0) has length 1 and weight 0, so only the width is read
+    from the row; the record tail is made once per (tag, zeros)."""
+    (head, sep, tail), digits = _start_records(fmt, plan.modulus, out)
+    n = sum(plan.class_sizes.values())
+    tails = {}
+
+    def make_tail(tag, zeros):
+        if tag:
+            y = atoms[tag - 1]
+            length, weight = sum(y), sum(map(operator.mul, plan.support, y))
+        else:
+            length, weight = 1, 0
+        width = n - zeros
+        text = tails[tag, zeros] = tail % (length, width, weight, length + width)
+        return text
+
+    write = out.write
+    count = 0
+    for count, row in enumerate(rows, 1):
+        coords = row[:n]
+        key = row[n], coords.count(0)
+        write(
+            head
+            + sep.join([digits[c] for c in coords])
+            + (tails.get(key) or make_tail(*key))
+        )
     return count
 
 
@@ -262,7 +308,7 @@ def cmd_enumerate(args):
         if args.cache:
             _cache_store(args.cache, m, J, solutions)
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    count = _emit_solutions(solutions, args.format, J, out)
+    count = _emit_solutions(solutions, args.format, m, J or range(1, m), out)
     _emit_summary(m, count, elapsed_ms, args.format, err)
     return EXIT_OK
 
@@ -281,9 +327,10 @@ def cmd_solve(args):
         print(count_general(plan, normal), file=out)
         return EXIT_OK
     started = time.monotonic()
-    rows = lift_solutions(plan, normal)
+    rows = lift_solutions(plan, normal, tagged=True)
     shown = rows if args.max_rows is None else islice(rows, args.max_rows)
-    count = _emit_solutions(shown, args.format, inst.coefficients, out)
+    atoms = () if normal is None else normal.solutions
+    count = _emit_lifted(shown, args.format, plan, atoms, out)
     # islice stops before it takes row max_rows + 1, so a row left over
     # means the output was capped
     if next(rows, None) is not None:

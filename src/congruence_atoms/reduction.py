@@ -9,6 +9,13 @@ bounded bucket of rows at a time, so its memory does not grow with the
 number of rows.  While a row is built and sorted it is one int, each
 coordinate a digit of a fixed byte width, so numeric order is
 lexicographic order; a sorted bucket is decoded to tuples in one call.
+One more, lowest digit of the int tags the row with the atom it was
+lifted from (0 for a unit row of the zero class, k for the k-th normal
+solution).  Two atoms never lift to the same row, since a row's class
+sums give its atom back, so the tag leaves the order unchanged; it is
+skipped when a bucket is decoded, or kept as a last coordinate with
+`tagged=True`, so that a caller can compute what is constant per atom
+once per atom.
 """
 
 from __future__ import annotations
@@ -25,20 +32,24 @@ from .enumeration import EnumerationResult
 
 @dataclass(frozen=True)
 class ReductionPlan:
+    """The residue classes of an instance.  Both mappings hold only the
+    non-empty classes, keyed by residue in increasing order, so a plan's
+    size does not grow with the modulus."""
+
     modulus: int
-    class_sizes: tuple   # n_r for r = 0..m-1
-    index_classes: tuple  # I_r as tuples of 0-based original indices
+    class_sizes: dict     # r -> n_r > 0
+    index_classes: dict   # r -> I_r, a tuple of 0-based original indices
     support: tuple        # J = sorted {r > 0 : n_r > 0}
 
 
 def build_plan(inst: CongruenceInstance) -> ReductionPlan:
-    m = inst.modulus
-    classes = [[] for _ in range(m)]
+    classes = {}
     for i, a in enumerate(inst.coefficients):
-        classes[a].append(i)
-    sizes = tuple(len(c) for c in classes)
-    support = tuple(r for r in range(1, m) if sizes[r])
-    return ReductionPlan(m, sizes, tuple(tuple(c) for c in classes), support)
+        classes.setdefault(a, []).append(i)
+    index_classes = {r: tuple(classes[r]) for r in sorted(classes)}
+    sizes = {r: len(idxs) for r, idxs in index_classes.items()}
+    support = tuple(r for r in index_classes if r)
+    return ReductionPlan(inst.modulus, sizes, index_classes, support)
 
 
 class _Tables(dict):
@@ -78,7 +89,9 @@ BUCKET_ROWS = 4096
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = None):
+def lift_solutions(
+    plan: ReductionPlan, normal_solutions: EnumerationResult = None, *, tagged=False
+):
     """All indecomposable solutions of the general instance, lazily and
     in lexicographic order.
 
@@ -94,10 +107,16 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = No
     n sorted lists of them on the stack and one bucket of rows at a time,
     however many rows there are.
 
-    A row is the int sum of x_i * B^(n-1-i) while it is built and
-    sorted, with B = 2^(8w) and w in {1, 2, 4, 8} bytes the narrowest
-    width above the largest atom entry (no lifted coordinate is larger).
-    Each sorted bucket is decoded to tuples by one struct call.
+    A row is the int T * sum of x_i * B^(n-1-i), plus its atom's tag,
+    while it is built and sorted, with B = 2^(8w) and w in {1, 2, 4, 8}
+    bytes the narrowest width above the largest atom entry (no lifted
+    coordinate is larger), and T = 2^(8t) with t the narrowest of the
+    same widths above the largest tag.  The tag is 0 for a unit row of
+    the zero class and k for a row lifted from the k-th atom of
+    `normal_solutions.solutions`.  Each sorted bucket is decoded by one
+    struct call: to the n coordinates, the tag skipped as pad bytes, or
+    with `tagged=True` to the n coordinates and the tag as an (n+1)-th
+    item.
 
     The plan and the normal solutions are checked here, not when the
     result is first iterated.
@@ -105,10 +124,15 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult = No
     _check_pair(plan, normal_solutions)
     solutions = () if normal_solutions is None else normal_solutions.solutions
     top = max(map(max, solutions), default=0)
-    width = next((w for w in _CODES if top < 1 << 8 * w), None)
+    width = _width(top)
     if width is None:
         raise DomainError(f"an atom entry of {top} does not fit in 64 bits")
-    return chain.from_iterable(_buckets(plan, solutions, width))
+    return chain.from_iterable(_buckets(plan, solutions, width, tagged))
+
+
+def _width(top):
+    """The narrowest digit width in bytes that holds 0..top, or None."""
+    return next((w for w in _CODES if top < 1 << 8 * w), None)
 
 
 def _rows_at_most(limit, atoms, placed, left):
@@ -129,12 +153,13 @@ def _rows_at_most(limit, atoms, placed, left):
 
 
 def _bucket_rows(prefix, placed, atoms, left, tables):
-    """The packed rows below a node of the walk, sorted.  Per atom, a
-    class with one way left to split what remains of it is added to the
-    prefix; the other classes' tables are added on, a table at a time."""
+    """The packed rows below a node of the walk, sorted.  Per atom, its
+    tag (the atom's last item) and each class with one way left to split
+    what remains of it are added to the prefix; the other classes'
+    tables are added on, a table at a time."""
     rows = []
     for y in atoms:
-        head = prefix
+        head = prefix + y[-1]
         spread = []
         for s, k in left:
             table = tables[y[s] - placed[s], s, k]
@@ -173,16 +198,17 @@ def _children(prefix, p, placed, atoms, s, last, unit):
         yield prefix + v * unit, p + 1, placed_v, atoms[start:]
 
 
-def _buckets(plan, solutions, width):
+def _buckets(plan, solutions, width, tagged):
     """The walk of `lift_solutions`: its buckets in order, each an
-    iterator over sorted rows with coordinates `width` bytes wide."""
+    iterator over sorted rows with coordinates `width` bytes wide, and
+    with the atom tag as a last item if `tagged`."""
     # slot s of an atom is its total on the s-th non-empty class: class 0
-    # (if any) first, then the support in order
-    classes = [idxs for idxs in plan.index_classes if idxs]
-    atoms = list(solutions)
-    if plan.class_sizes[0]:
-        atoms = [(1,) + (0,) * len(plan.support)] + [(0,) + y for y in atoms]
-    n = sum(plan.class_sizes)
+    # (if any) first, then the support in order; the tag comes last
+    classes = list(plan.index_classes.values())
+    atoms = [y + (k,) for k, y in enumerate(solutions, 1)]
+    if 0 in plan.index_classes:
+        atoms = [(1,) + (0,) * len(plan.support) + (0,)] + [(0,) + y for y in atoms]
+    n = sum(plan.class_sizes.values())
     slot = [0] * n
     last = [False] * n
     for s, idxs in enumerate(classes):
@@ -195,10 +221,12 @@ def _buckets(plan, solutions, width):
     for p in range(n + 1):
         counts = ((s, sum(i >= p for i in idxs)) for s, idxs in enumerate(classes))
         left.append(tuple((s, k) for s, k in counts if k))
-    place = [1 << 8 * width * (n - 1 - i) for i in range(n)]
+    tag_width = _width(len(solutions))
+    place = [1 << 8 * (width * (n - 1 - i) + tag_width) for i in range(n)]
     tables = _Tables(classes, place)
-    size = n * width
-    decode = Struct(f">{n}{_CODES[width]}").iter_unpack
+    size = n * width + tag_width
+    tag = _CODES[tag_width] if tagged else f"{tag_width}x"
+    decode = Struct(f">{n}{_CODES[width]}{tag}").iter_unpack
     stack = [iter([(0, 0, (0,) * len(classes), atoms)])]
     while stack:
         node = next(stack[-1], None)
@@ -216,7 +244,7 @@ def _buckets(plan, solutions, width):
 def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult = None):
     """N_m(a) = n_0 + sum over y of prod_r C(n_r + y_r - 1, y_r), exact."""
     _check_pair(plan, normal_solutions)
-    total = plan.class_sizes[0]
+    total = plan.class_sizes.get(0, 0)
     if normal_solutions is not None:
         for y in normal_solutions.solutions:
             prod = 1

@@ -147,6 +147,24 @@ def test_bound_r_floor_is_exact_past_the_table():
             assert scale * n**2 <= 16 ** (m - 1) < scale * (n + 1) ** 2, m
 
 
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the real-valued bounds need mpmath; they import it on first use
+    code = (
+        "import sys\n"
+        "import congruence_atoms.cli\n"
+        "print('mpmath' in sys.modules)\n"
+        "from congruence_atoms.bounds import bound_r\n"
+        "print(bound_r(12), 'mpmath' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", str(tables.R[12]), "True"]
+
+
 def test_partition_count_runs_deep_in_a_fresh_interpreter():
     # a first call at a large m must not recurse through smaller ones
     code = (

@@ -1,6 +1,8 @@
 import base64
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -544,6 +546,62 @@ def test_solve_streams_the_first_rows_of_a_huge_lift(capsys):
         for v in range(5)
     ]
     assert "output capped at 5 rows" in err
+
+
+def _parse_record(line, fmt):
+    """(coords, (length, width, weight, total_size)) of one record."""
+    if fmt == "json":
+        record = json.loads(line)
+        names = "length", "width", "weight", "total_size"
+        return tuple(record["coords"]), tuple(record[name] for name in names)
+    if fmt == "csv":
+        coords, *fields = line.split(",")
+        return tuple(map(int, coords.split(";"))), tuple(map(int, fields))
+    match = re.fullmatch(
+        r"x=\(([\d,]+)\) length=(\d+) width=(\d+) weight=(\d+) total_size=(\d+)",
+        line,
+    )
+    coords, *fields = match.groups()
+    return tuple(map(int, coords.split(","))), tuple(map(int, fields))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_solve_fields_match_their_recomputation(capsys, fmt):
+    # seeded instances with coefficients outside [0, m), zero classes and
+    # repeated residues; each record's fields are recomputed from its
+    # coordinates and the reduced coefficients
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 40:
+        m = rng.randint(2, 12)
+        coeffs = [rng.randint(-m, 2 * m) for _ in range(rng.randint(1, 8))]
+        if checked % 3 == 0:
+            coeffs[rng.randrange(len(coeffs))] = 0
+        # --coeffs=... since a list may start with a minus sign
+        argv = ["solve", "--modulus", str(m), "--coeffs=" + ",".join(map(str, coeffs))]
+        count = int(run_cli(argv + ["--count-only"], capsys)[1])
+        if count > 2000:
+            continue
+        cap = rng.choice([None, 0, 1, count // 2, count + 1])
+        extra = [] if cap is None else ["--max-rows", str(cap)]
+        code, out, _ = run_cli(argv + ["--format", fmt] + extra, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        if fmt == "csv":
+            assert lines.pop(0) == "coords,length,width,weight,total_size"
+        assert len(lines) == (count if cap is None else min(cap, count)), argv
+        reduced = [a % m for a in coeffs]
+        previous = None
+        for line in lines:
+            coords, fields = _parse_record(line, fmt)
+            length = sum(coords)
+            width = sum(1 for c in coords if c)
+            weight = sum(a * c for a, c in zip(reduced, coords))
+            assert len(coords) == len(coeffs) and weight % m == 0, (argv, line)
+            assert fields == (length, width, weight, length + width), (argv, line)
+            assert previous is None or previous < coords, (argv, line)
+            previous = coords
+        checked += 1
 
 
 def test_extremal_command(capsys):

@@ -51,6 +51,19 @@ def test_build_plan_examples():
     assert plan.class_sizes[2] == 2 and plan.support == (2,)
 
 
+def test_build_plan_keeps_only_the_non_empty_classes():
+    # keyed by residue in increasing order, whatever the coefficient order
+    plan = build_plan(CongruenceInstance(9, (5, 2, 14, 0)))
+    assert list(plan.class_sizes.items()) == [(0, 1), (2, 1), (5, 2)]
+    assert list(plan.index_classes.items()) == [(0, (3,)), (2, (1,)), (5, (0, 2))]
+    assert plan.support == (2, 5)
+    # the plan's size follows the coefficients, not the modulus
+    plan = build_plan(CongruenceInstance(10**6, (1, 0)))
+    assert plan.class_sizes == {0: 1, 1: 1}
+    assert plan.index_classes == {0: (1,), 1: (0,)}
+    assert plan.support == (1,)
+
+
 def test_lift_examples():
     _, sols = lifted_set(2, (1, 1))
     assert sols == [(0, 2), (1, 1), (2, 0)]
@@ -140,8 +153,10 @@ def test_general_support_bounds_hold_on_lifts():
 def reference_lift(plan, normal):
     """The lift built whole: every unit row of the zero class, then per
     atom the product of the composition tables of its classes, sorted."""
-    n = sum(plan.class_sizes)
-    rows = [tuple(int(i == j) for j in range(n)) for i in plan.index_classes[0]]
+    n = sum(plan.class_sizes.values())
+    rows = [
+        tuple(int(i == j) for j in range(n)) for i in plan.index_classes.get(0, ())
+    ]
     for y in normal.solutions if normal is not None else ():
         tables = [
             list(compositions(yr, plan.class_sizes[r]))
@@ -208,10 +223,48 @@ def test_lift_equals_the_sorted_reference(bucket_rows, monkeypatch):
         assert list(lift_solutions(plan, normal)) == expected, plan
 
 
+def atom_of(plan, row):
+    """The tag that the row's atom has: 0 for a unit row of the zero
+    class, else one more than the index in the normal solutions of the
+    atom given back by the row's class sums."""
+    if any(row[i] for i in plan.index_classes.get(0, ())):
+        assert sum(row) == 1, row
+        return 0
+    y = tuple(sum(row[i] for i in plan.index_classes[r]) for r in plan.support)
+    return normal_cached(plan).solutions.index(y) + 1
+
+
+@pytest.mark.parametrize("bucket_rows", [1, None])
+def test_tagged_lift_tags_each_row_with_its_atom(bucket_rows, monkeypatch):
+    if bucket_rows is not None:
+        monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
+    plans = equality_instances(400, 400)
+    assert any(0 in plan.class_sizes for plan in plans)
+    assert any(0 not in plan.class_sizes for plan in plans)
+    for plan in plans:
+        normal = normal_cached(plan)
+        tagged = list(lift_solutions(plan, normal, tagged=True))
+        assert [row[:-1] for row in tagged] == list(lift_solutions(plan, normal))
+        tags = [atom_of(plan, row[:-1]) for row in tagged]
+        assert [row[-1] for row in tagged] == tags
+
+
+def test_tagged_lift_with_a_two_byte_tag():
+    # 0..10 mod 11: the unit row e_0 and one row per atom over 1..10,
+    # past 255 atoms, so a tag needs two bytes
+    plan = build_plan(CongruenceInstance(11, tuple(range(11))))
+    normal = normal_cached(plan)
+    assert len(normal.solutions) > 255
+    tagged = list(lift_solutions(plan, normal, tagged=True))
+    assert [row[:-1] for row in tagged] == reference_lift(plan, normal)
+    assert sorted(row[-1] for row in tagged) == list(range(len(normal.solutions) + 1))
+    assert all(row[-1] == atom_of(plan, row[:-1]) for row in tagged)
+
+
 def one_atom(entry):
     """A one-coefficient plan and a hand-built atom (entry,).  The lift
-    does not check that an atom solves the congruence, and a modulus as
-    large as the entry would need a plan of that many classes."""
+    does not check that an atom solves the congruence, so the entry can
+    be far above the modulus."""
     plan = build_plan(CongruenceInstance(7, (3,)))
     return plan, EnumerationResult(7, plan.support, ((entry,),))
 
