@@ -86,17 +86,20 @@ def verify_extremal(m, result=None):
 
     Filters the full solution set for total size m + 1 and compares with
     extremal_all(m); also checks width <= 3 and (for m >= 4) the unique
-    coordinate >= 2.  Raises AssertionError on any mismatch.
+    coordinate >= 2.  Raises AssertionError on any mismatch, also under -O.
     """
     if result is None:
         result = enumerate_standard(m)
     filtered = extremal_filter(result.solutions, m)
     constructed = sorted(s.vector for s in extremal_all(m))
-    assert sorted(filtered) == constructed, (m, filtered, constructed)
+    if sorted(filtered) != constructed:
+        raise AssertionError(m, filtered, constructed)
     for x in filtered:
         width = sum(1 for c in x if c)
-        assert width <= 3, (m, x)
-        if m >= 4:
-            assert sum(1 for c in x if c >= 2) == 1, (m, x)
-        assert is_indecomposable(x, m)
+        if width > 3:
+            raise AssertionError(m, x)
+        if m >= 4 and sum(1 for c in x if c >= 2) != 1:
+            raise AssertionError(m, x)
+        if not is_indecomposable(x, m):
+            raise AssertionError(m, x)
     return True

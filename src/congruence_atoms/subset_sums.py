@@ -96,7 +96,8 @@ def family_Tma(m, a) -> IndexSet:
         raise DomainError("a = m/4 is excluded")
     T = IndexSet(m, (a, m // 2, m // 2 + a))
     report = diversity(T)
-    assert report.admissible and report.diversity == 6, (m, a, report)
+    if not (report.admissible and report.diversity == 6):
+        raise AssertionError(m, a, report)
     return T
 
 
@@ -203,31 +204,51 @@ def verify_general(r, m, budget=DEFAULT_SCAN_BUDGET):
 
 
 def lemma_expls_checks(m, max_size=5):
-    """Elementary diversity facts, checked over every subset of size
-    <= max_size: bounds on the diversity of admissible sets, size
-    <= m/2, distinct nested subset sums, and heredity of inadmissibility."""
+    """Elementary diversity facts, checked over every subset of
+    {1..m-1} of size <= max_size; returns the number of subsets.
+
+    Each subset gets one `diversity` scan, by size r ascending.  For an
+    admissible set it checks r + 1 <= diversity <= min(2^r, m), 2r <= m,
+    diversity 4 at r = 2, and distinct nested sums: sum(U) != sum(S)
+    mod m for every non-empty U and proper subset S of U (2^r subset
+    sums by bit mask, read back for each submask pair).  Heredity, that
+    an admissible set has only admissible subsets, reads the oracle's
+    verdict on each proper subset from the smaller sizes already
+    scanned.  A failed check raises AssertionError, also under -O."""
     if m > 16:
         raise DomainError("exhaustive regime is m <= 16")
     checked = 0
+    admissible = set()   # every subset the oracle called admissible
     for r in range(0, max_size + 1):
+        masks = 1 << r   # subsets of an r-set, as bit masks
         for subset in combinations(range(1, m), r):
             report = diversity(IndexSet(m, subset))
             checked += 1
             if not report.admissible:
                 continue
-            assert r + 1 <= report.diversity <= min(2**r, m), (m, subset)
-            assert 2 * r <= m, (m, subset)
-            if r == 2:
-                assert report.diversity == 4, (m, subset)
-            # nested subsets S < U of an admissible set have distinct sums
-            for ru in range(1, r + 1):
-                for U in combinations(subset, ru):
-                    for rs in range(ru):
-                        for S in combinations(U, rs):
-                            assert (sum(U) - sum(S)) % m != 0, (m, U, S)
+            admissible.add(subset)
+            if not r + 1 <= report.diversity <= min(2**r, m):
+                raise AssertionError(m, subset)
+            if 2 * r > m:
+                raise AssertionError(m, subset)
+            if r == 2 and report.diversity != 4:
+                raise AssertionError(m, subset)
+            # nested subsets S < U of an admissible set have distinct
+            # sums; sums[mask] sums the elements picked by mask's bits
+            sums = [0] * masks
+            for mask in range(1, masks):
+                low = mask & -mask
+                sums[mask] = sums[mask ^ low] + subset[low.bit_length() - 1]
+            for U in range(1, masks):
+                S = U
+                while S:   # S runs over the proper submasks of U, 0 last
+                    S = (S - 1) & U
+                    if (sums[U] - sums[S]) % m == 0:
+                        raise AssertionError(m, subset, U, S)  # U, S as masks
             # heredity (contrapositive): an admissible set has only
             # admissible subsets
             for rs in range(1, r):
                 for S in combinations(subset, rs):
-                    assert diversity(IndexSet(m, S)).admissible, (m, subset, S)
+                    if S not in admissible:
+                        raise AssertionError(m, subset, S)
     return checked

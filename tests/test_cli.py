@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import random
@@ -737,6 +738,26 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "failed=1 skipped=0" in err
+
+
+def test_verify_appendix_reports_a_failed_lemma_check(capsys, monkeypatch):
+    from congruence_atoms import subset_sums
+
+    real = subset_sums.diversity
+
+    def planted(T):
+        # calls (1, 2) mod 8 inadmissible, so heredity fails at (1, 2, 3)
+        report = real(T)
+        if T.modulus == 8 and T.elements == (1, 2):
+            return dataclasses.replace(report, admissible=False)
+        return report
+
+    monkeypatch.setattr(subset_sums, "diversity", planted)
+    code, out, err = run_cli(["verify", "--suite", "appendix", "--m-max", "8"], capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL appendix elementary lemmas m=8"
+    assert "Traceback" not in out + err
+    assert err.strip() == "suite=appendix checks=5 passed=3 failed=1 skipped=1"
 
 
 def test_verify_time_budget_marks_unverified(capsys):

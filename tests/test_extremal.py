@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from congruence_atoms import (
@@ -73,6 +77,24 @@ def test_m6_exceptions_present():
 def test_verify_extremal_against_enumeration(standard_enumerations):
     for m in range(3, 24):
         assert verify_extremal(m, standard_enumerations[m])
+
+
+def test_verify_extremal_fails_on_a_missing_solution_under_optimisation():
+    # drops m*e_1 from the enumeration; the check must not be an assert
+    code = (
+        "from congruence_atoms import enumerate_standard, verify_extremal\n"
+        "from congruence_atoms.enumeration import EnumerationResult\n"
+        "full = enumerate_standard(7)\n"
+        "kept = tuple(x for x in full.solutions if x != (7, 0, 0, 0, 0, 0))\n"
+        "verify_extremal(7, EnumerationResult(7, None, kept))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
 
 
 def test_total_size_never_exceeds_cap(standard_enumerations):

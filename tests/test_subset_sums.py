@@ -1,9 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import congruence_atoms.subset_sums as subset_sums
 from congruence_atoms import (
     BudgetExceeded,
     DomainError,
@@ -162,8 +168,67 @@ def test_scan_matches_subset_scan_oracle():
 
 
 def test_lemma_checks():
-    for m in (3, 8, 12, 16):
-        assert lemma_expls_checks(m) > 0
+    # every subset of {1..m-1} of size <= 5 is checked exactly once
+    for m in range(2, 17):
+        assert lemma_expls_checks(m) == sum(comb(m - 1, r) for r in range(6)), m
+
+
+def plant(monkeypatch, m, elements, **fields):
+    """Make the diversity oracle misreport the set `elements` mod m."""
+    real = subset_sums.diversity
+
+    def planted(T):
+        report = real(T)
+        if T.modulus == m and T.elements == elements:
+            return dataclasses.replace(report, **fields)
+        return report
+
+    monkeypatch.setattr(subset_sums, "diversity", planted)
+
+
+def test_lemma_checks_read_heredity_from_the_oracle(monkeypatch):
+    # (1, 2, 3) stays admissible, so its subset (1, 2) breaks heredity
+    plant(monkeypatch, 8, (1, 2), admissible=False)
+    with pytest.raises(AssertionError) as caught:
+        lemma_expls_checks(8)
+    assert caught.value.args == (8, (1, 2, 3), (1, 2))
+
+
+def test_lemma_checks_catch_equal_nested_sums(monkeypatch):
+    # passes the bounds, 2r <= m, r = 2 and heredity checks; only the
+    # nested sums see 1 + 7 = 0 mod 8
+    plant(monkeypatch, 8, (1, 7), admissible=True, diversity=4)
+    with pytest.raises(AssertionError) as caught:
+        lemma_expls_checks(8)
+    assert caught.value.args[:2] == (8, (1, 7))
+
+
+def test_family_check_reads_the_oracle(monkeypatch):
+    plant(monkeypatch, 6, (1, 3, 4), diversity=7)
+    with pytest.raises(AssertionError):
+        family_Tma(6, 1)
+
+
+def test_lemma_checks_fail_under_optimisation():
+    code = (
+        "import dataclasses\n"
+        "import congruence_atoms.subset_sums as ss\n"
+        "real = ss.diversity\n"
+        "def planted(T):\n"
+        "    report = real(T)\n"
+        "    if T.modulus == 8 and T.elements == (1, 2):\n"
+        "        return dataclasses.replace(report, admissible=False)\n"
+        "    return report\n"
+        "ss.diversity = planted\n"
+        "ss.lemma_expls_checks(8)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: (8, (1, 2, 3), (1, 2))" in proc.stderr
 
 
 def test_pair_exclusion():
