@@ -13,7 +13,6 @@ from .core import (
     euler_phi,
     leq,
     metrics,
-    weight_mod,
 )
 from .enumeration import (
     EnumerationResult,

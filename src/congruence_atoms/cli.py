@@ -17,17 +17,19 @@ import operator
 import os
 import sys
 import time
-from array import array
-from itertools import islice
+from itertools import islice, starmap
+from struct import Struct
 
 from . import tables
 from .bounds import bound_q, bound_r, log2_rounded, partition_count, table2
 from .core import (
+    DIGIT_CODES,
     BudgetExceeded,
     CongruenceInstance,
     DomainError,
     NormalForm,
     bound_violations,
+    digit_width,
     euler_phi,
 )
 from .enumeration import (
@@ -108,9 +110,9 @@ def _start_records(fmt, m, out):
 
 
 def _emit_solutions(solutions, fmt, m, letters, out):
-    """Write one record per row of coordinates (a tuple or a bytes row),
-    its fields computed from the row and the column coefficients
-    `letters`; return the number of rows."""
+    """Write one record per row of coordinates, its fields computed from
+    the row and the column coefficients `letters`; return the number of
+    rows."""
     (head, sep, tail), digits = _start_records(fmt, m, out)
     write = out.write
     count = 0
@@ -178,23 +180,24 @@ def _cache_path(directory, m, J):
     return os.path.join(directory, tag + ".json")
 
 
-def _cache_typecode(m):
-    """The smallest unsigned array typecode that holds 0..m, or None.
-    An atom's coordinates are at most m: any m elements of Z_m hold a
-    non-empty zero-sum subsequence."""
-    for code in "BHILQ":
-        if m < 1 << 8 * array(code).itemsize:
-            return code
-    return None
+def _cache_row(m, J):
+    """The struct of one cached row: a little-endian unsigned digit per
+    column, of the narrowest width that holds 0..m (the lift's rule), or
+    None.  An atom's coordinates are at most m: any m elements of Z_m
+    hold a non-empty zero-sum subsequence."""
+    width = digit_width(m)
+    dimension = m - 1 if J is None else len(J)
+    if width is None or dimension < 1:
+        return None
+    return Struct(f"<{dimension}{DIGIT_CODES[width]}")
 
 
 def _cache_load(directory, m, J):
-    """The cached solutions, or None on a miss.  A missing, unreadable,
-    malformed or stale file is a miss.  Rows are bytes for m <= 255 and
-    tuples otherwise."""
-    code = _cache_typecode(m)
-    dimension = m - 1 if J is None else len(J)
-    if code is None or dimension < 1:
+    """An iterator over the cached solutions' tuples, or None on a miss.
+    The whole file is read and checked first: a missing, unreadable,
+    malformed or stale file is a miss."""
+    row = _cache_row(m, J)
+    if row is None:
         return None
     try:
         with open(_cache_path(directory, m, J), "rb") as fh:
@@ -210,7 +213,7 @@ def _cache_load(directory, m, J):
     ):
         return None
     # records are printed from the rows unchecked: the block must hold
-    # `count` rows of `dimension` unsigned items, none of them above m
+    # `count` rows, none of them with an item above m
     count = data.get("count")
     if not isinstance(count, int) or isinstance(count, bool):
         return None
@@ -218,41 +221,30 @@ def _cache_load(directory, m, J):
         raw = base64.b64decode(data["solutions"], validate=True)
     except (KeyError, TypeError, ValueError):
         return None
-    items = array(code)
-    if len(raw) != count * dimension * items.itemsize:
+    if len(raw) != count * row.size:
         return None
-    if code == "B":
-        if raw.translate(None, bytes(range(m + 1))):
-            return None
-        return [raw[i : i + dimension] for i in range(0, len(raw), dimension)]
-    items.frombytes(raw)
-    if sys.byteorder == "big":
-        items.byteswap()
-    if max(items, default=0) > m:
-        return None
-    return [tuple(items[i : i + dimension]) for i in range(0, len(items), dimension)]
+    if row.format.endswith("B"):
+        # one byte per coordinate: one call finds any byte above m
+        bad = raw.translate(None, bytes(range(m + 1)))
+    else:
+        bad = max(map(max, row.iter_unpack(raw)), default=0) > m
+    return None if bad else row.iter_unpack(raw)
 
 
 def _cache_store(directory, m, J, solutions):
     """Write the solutions as a JSON header and a base64 block of their
     coordinates, row-major and little-endian.  A modulus too large for
-    every typecode is not cached."""
-    code = _cache_typecode(m)
-    if code is None:
+    every digit width is not cached."""
+    row = _cache_row(m, J)
+    if row is None:
         return
-    if code == "B":
-        block = b"".join(map(bytes, solutions))
-    else:
-        items = array(code, [c for x in solutions for c in x])
-        if sys.byteorder == "big":
-            items.byteswap()
-        block = items.tobytes()
+    block = b"".join(starmap(row.pack, solutions))
     payload = {
         "version": CACHE_VERSION,
         "m": m,
         "J": list(J) if J is not None else None,
         "engine": ENGINE_FINGERPRINT,
-        "count": len(solutions),
+        "count": len(block) // row.size,
         "solutions": base64.b64encode(block).decode("ascii"),
     }
     # write a temp file next to the target and rename it over, so a
@@ -572,6 +564,10 @@ def main(argv=None):
         return EXIT_DOMAIN
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        # e.g. the m-bit closure mask of a huge modulus
+        print("budget exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -35,6 +35,15 @@ def closure_step(mask, t, m):
     return mask | (shifted & ((1 << m) - 1)) | (shifted >> m)
 
 
+# the digit widths of a packed row, in bytes, and their struct codes
+DIGIT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def digit_width(top):
+    """The narrowest digit width in bytes that holds 0..top, or None."""
+    return next((w for w in DIGIT_CODES if top < 1 << 8 * w), None)
+
+
 def compositions(total, parts):
     """The `parts`-tuples of non-negative integers that sum to `total`,
     lazily and in lexicographic order: by stars and bars, the gaps between
@@ -104,13 +113,6 @@ def bound_violations(x, m):
     if m >= 7 and width >= 3 and length > m - 3:
         names.append("length refinement")
     return tuple(names)
-
-
-def weight_mod(coords, m):
-    """Index-weighted sum of coords, reduced mod m."""
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    return sum(i * c for i, c in enumerate(coords, start=1)) % m
 
 
 def euler_phi(m):

@@ -77,12 +77,11 @@ def _closure_mask(letters, counts, m):
 def _walk_tables(m, letters):
     """Tables of the closing-letter walk over the distinct letters in
     (0, m): per next letter index p, the steps (j, a, m - a) with j >= p,
-    where bit m - a of a mask is bit 0 once a is added; and per running
-    sum s mod m, the index of the letter -s mod m, or -1."""
+    where bit m - a of a mask is bit 0 once a is added; and, keyed by the
+    running sum s mod m, the index of the letter -s mod m where there is
+    one.  Neither table grows with m."""
     steps = [(j, a, m - a) for j, a in enumerate(letters)]
-    closer = [-1] * m
-    for j, _, back in steps:
-        closer[back] = j
+    closer = {back: j for j, _, back in steps}
     return [steps[p:] for p in range(len(steps) + 1)], closer
 
 
@@ -95,7 +94,7 @@ def _enumerate_letters(m, letters):
 
     def visit(pos, mask, total):
         # the multiset in counts is zero-sum-free: bit 0 of mask is clear
-        j = closer[total]
+        j = closer.get(total, -1)
         if j >= pos:
             counts[j] += 1
             out.append(tuple(counts))
@@ -106,7 +105,7 @@ def _enumerate_letters(m, letters):
                 visit(j, closure_step(mask, a, m), (total + a) % m)
                 counts[j] -= 1
 
-    # the empty multiset closes with no letter: closer[0] is -1
+    # the empty multiset closes with no letter: closer has no key 0
     try:
         visit(0, 0, 0)
     except RecursionError:
@@ -138,7 +137,7 @@ def count_letters(m, letters):
         key = mask * m + total
         n = memo.get(key)
         if n is None:
-            n = 1 if closer[total] >= pos else 0
+            n = 1 if closer.get(total, -1) >= pos else 0
             for j, a, back in tails[pos]:
                 if not mask >> back & 1:
                     n += visit(j, closure_step(mask, a, m), (total + a) % m)

@@ -26,7 +26,14 @@ from math import comb
 from operator import add, itemgetter, mul
 from struct import Struct
 
-from .core import CongruenceInstance, DomainError, binomial, compositions
+from .core import (
+    DIGIT_CODES,
+    CongruenceInstance,
+    DomainError,
+    binomial,
+    compositions,
+    digit_width,
+)
 from .enumeration import EnumerationResult
 
 
@@ -85,9 +92,6 @@ def _check_pair(plan, normal_solutions):
 # whole and sorted: a bucket bounds the memory a streamed lift needs
 BUCKET_ROWS = 4096
 
-# the digit widths of a packed row, in bytes, and their struct codes
-_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
 
 def lift_solutions(
     plan: ReductionPlan, normal_solutions: EnumerationResult = None, *, tagged=False
@@ -124,15 +128,10 @@ def lift_solutions(
     _check_pair(plan, normal_solutions)
     solutions = () if normal_solutions is None else normal_solutions.solutions
     top = max(map(max, solutions), default=0)
-    width = _width(top)
+    width = digit_width(top)
     if width is None:
         raise DomainError(f"an atom entry of {top} does not fit in 64 bits")
     return chain.from_iterable(_buckets(plan, solutions, width, tagged))
-
-
-def _width(top):
-    """The narrowest digit width in bytes that holds 0..top, or None."""
-    return next((w for w in _CODES if top < 1 << 8 * w), None)
 
 
 def _rows_at_most(limit, atoms, placed, left):
@@ -221,12 +220,12 @@ def _buckets(plan, solutions, width, tagged):
     for p in range(n + 1):
         counts = ((s, sum(i >= p for i in idxs)) for s, idxs in enumerate(classes))
         left.append(tuple((s, k) for s, k in counts if k))
-    tag_width = _width(len(solutions))
+    tag_width = digit_width(len(solutions))
     place = [1 << 8 * (width * (n - 1 - i) + tag_width) for i in range(n)]
     tables = _Tables(classes, place)
     size = n * width + tag_width
-    tag = _CODES[tag_width] if tagged else f"{tag_width}x"
-    decode = Struct(f">{n}{_CODES[width]}{tag}").iter_unpack
+    tag = DIGIT_CODES[tag_width] if tagged else f"{tag_width}x"
+    decode = Struct(f">{n}{DIGIT_CODES[width]}{tag}").iter_unpack
     stack = [iter([(0, 0, (0,) * len(classes), atoms)])]
     while stack:
         node = next(stack[-1], None)

@@ -251,13 +251,16 @@ def test_deeply_nested_cache_is_a_miss(tmp_path, capsys):
 
 
 def test_uncacheable_moduli(tmp_path, capsys):
-    from congruence_atoms.cli import _cache_load, _cache_store, _cache_typecode
+    from congruence_atoms.cli import _cache_load, _cache_store
+    from congruence_atoms.core import digit_width
     from congruence_atoms.enumeration import ENGINE_FINGERPRINT
 
-    assert [_cache_typecode(m) for m in (2, 255, 256, 65535, 65536)] == [
-        "B", "B", "H", "H", _cache_typecode(2**32 - 1),
+    # the cache and the lift share one width rule: 0..m in 1, 2, 4 or 8 bytes
+    assert [digit_width(m) for m in (2, 255, 256, 65535, 65536, 2**32 - 1)] == [
+        1, 1, 2, 2, 4, 4,
     ]
-    # no unsigned typecode holds 2**64: such a modulus is never cached
+    # no digit width holds 2**64: such a modulus is never cached
+    assert digit_width(2**64) is None
     cache = str(tmp_path / "cache")
     _cache_store(cache, 2**64, (1,), [(2**64,)])
     assert not os.path.exists(cache) and _cache_load(cache, 2**64, (1,)) is None
@@ -289,6 +292,41 @@ def test_cache_file_layout(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("m, code", [(65536, "<I"), (2**32, "<Q")])
+def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
+    # the atoms over J = {1, m - 1}; no enumeration at such m is
+    # affordable, so the rows are written and read back directly
+    import struct
+
+    from congruence_atoms.cli import _cache_load, _cache_store
+
+    cache = str(tmp_path / "cache")
+    J = (1, m - 1)
+    rows = [(0, m), (1, 1), (m, 0)]
+    _cache_store(cache, m, J, iter(rows))
+    path = os.path.join(cache, f"enum-m{m}-J1-{m - 1}.json")
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    data = json.loads(whole)
+    assert data["count"] == 3
+    # row-major, one little-endian item per coordinate
+    block = base64.b64decode(data["solutions"])
+    assert block == b"".join(struct.pack(code, c) for x in rows for c in x)
+    assert list(_cache_load(cache, m, J)) == rows
+    # re-storing what was loaded writes the same bytes
+    _cache_store(cache, m, J, _cache_load(cache, m, J))
+    with open(path, "rb") as fh:
+        assert fh.read() == whole
+    # a coordinate of m + 1 makes the file a miss: the last row (m, 0)
+    # becomes (m + 1, 0)
+    w = struct.calcsize(code)
+    bad = block[: -2 * w] + struct.pack(code, m + 1) + block[-w:]
+    data["solutions"] = base64.b64encode(bad).decode("ascii")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert _cache_load(cache, m, J) is None
+
+
 def test_wide_cache_round_trip(tmp_path, capsys):
     # m > 255: coordinates up to 300 take two bytes each, little-endian,
     # and are printed past the 0..255 digit table
@@ -311,7 +349,7 @@ def test_wide_cache_round_trip(tmp_path, capsys):
     assert base64.b64decode(data["solutions"]) == bytes(
         [0, 0, 44, 1, 1, 0, 1, 0, 44, 1, 0, 0]
     )
-    assert _cache_load(cache, 300, (1, 299)) == [(0, 300), (1, 1), (300, 0)]
+    assert list(_cache_load(cache, 300, (1, 299))) == [(0, 300), (1, 1), (300, 0)]
     for fmt in ("json", "csv", "text"):
         _, cold, _ = run_cli(
             ["enumerate", "300", "--support", "1,299", "--format", fmt], capsys
@@ -640,6 +678,24 @@ def test_bounds_past_the_reference_tables(capsys):
 )
 def test_walk_past_the_recursion_limit_is_a_budget_refusal(capsys, argv):
     # the one atom over {1} is x = (1200): a walk 1199 letters deep
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", str(2**64 + 1), "--support", "1", "--count-only"],
+        ["solve", "--modulus", str(2**64 + 1), "--coeffs", "1,0"],
+        ["enumerate", str(2**63), "--support", str(2**62)],
+    ],
+    ids=["count-only", "solve", "enumerate"],
+)
+def test_huge_modulus_is_a_budget_refusal(capsys, argv):
+    # an m-bit closure mask with m >= 2**63 fails before any memory is
+    # taken; no table of the walk has m entries
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""

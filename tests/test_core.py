@@ -14,7 +14,6 @@ from congruence_atoms import (
     euler_phi,
     leq,
     metrics,
-    weight_mod,
 )
 from congruence_atoms.core import compositions
 
@@ -61,12 +60,6 @@ def test_metric_chain(coords):
     assert met.total_size == met.length + met.width
 
 
-def test_weight_mod_examples():
-    assert weight_mod((2, 1, 0), 4) == 0
-    assert weight_mod((0, 0, 0), 7) == 0
-    assert weight_mod((0, 0, 4), 4) == 0
-
-
 def test_bound_violations_names_each_bound():
     # one hand-made vector per bound; a length violation always breaks
     # the total size bound too, since width >= 1
@@ -78,11 +71,6 @@ def test_bound_violations_names_each_bound():
     # the refinement needs m >= 7 and width >= 3
     assert bound_violations((2, 2, 2, 0, 0), 6) == ("total size",)
     assert bound_violations((3, 3, 0, 0, 0, 0, 0), 8) == ()
-
-
-@given(vectors, st.integers(min_value=2, max_value=50))
-def test_weight_mod_matches_metrics(coords, m):
-    assert weight_mod(coords, m) == metrics(coords).weight % m
 
 
 def test_euler_phi_values():
