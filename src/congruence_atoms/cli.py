@@ -173,6 +173,12 @@ def _emit_summary(m, count, elapsed_ms, fmt, err):
     print(line, file=err)
 
 
+def _cache_key(m, letters):
+    """The J of a cache file's name and header: None for 1..m-1."""
+    # 1..m-1 is the only strictly increasing run of m - 1 letters in (0, m)
+    return None if len(letters) == m - 1 else list(letters)
+
+
 def _cache_path(directory, m, J):
     tag = f"enum-m{m}"
     if J is not None:
@@ -180,25 +186,23 @@ def _cache_path(directory, m, J):
     return os.path.join(directory, tag + ".json")
 
 
-def _cache_row(m, J):
+def _cache_row(m, letters):
     """The struct of one cached row: a little-endian unsigned digit per
-    column, of the narrowest width that holds 0..m (the lift's rule), or
+    letter, of the narrowest width that holds 0..m (the lift's rule), or
     None.  An atom's coordinates are at most m: any m elements of Z_m
     hold a non-empty zero-sum subsequence."""
     width = digit_width(m)
-    dimension = m - 1 if J is None else len(J)
-    if width is None or dimension < 1:
-        return None
-    return Struct(f"<{dimension}{DIGIT_CODES[width]}")
+    return None if width is None else Struct(f"<{len(letters)}{DIGIT_CODES[width]}")
 
 
-def _cache_load(directory, m, J):
+def _cache_load(directory, m, letters):
     """An iterator over the cached solutions' tuples, or None on a miss.
     The whole file is read and checked first: a missing, unreadable,
     malformed or stale file is a miss."""
-    row = _cache_row(m, J)
+    row = _cache_row(m, letters)
     if row is None:
         return None
+    J = _cache_key(m, letters)
     try:
         with open(_cache_path(directory, m, J), "rb") as fh:
             data = json.loads(fh.read())
@@ -209,7 +213,7 @@ def _cache_load(directory, m, J):
         or data.get("version") != CACHE_VERSION
         or data.get("engine") != ENGINE_FINGERPRINT
         or data.get("m") != m
-        or data.get("J") != (list(J) if J is not None else None)
+        or data.get("J") != J
     ):
         return None
     # records are printed from the rows unchecked: the block must hold
@@ -231,18 +235,19 @@ def _cache_load(directory, m, J):
     return None if bad else row.iter_unpack(raw)
 
 
-def _cache_store(directory, m, J, solutions):
+def _cache_store(directory, m, letters, solutions):
     """Write the solutions as a JSON header and a base64 block of their
     coordinates, row-major and little-endian.  A modulus too large for
     every digit width is not cached."""
-    row = _cache_row(m, J)
+    row = _cache_row(m, letters)
     if row is None:
         return
     block = b"".join(starmap(row.pack, solutions))
+    J = _cache_key(m, letters)
     payload = {
         "version": CACHE_VERSION,
         "m": m,
-        "J": list(J) if J is not None else None,
+        "J": J,
         "engine": ENGINE_FINGERPRINT,
         "count": len(block) // row.size,
         "solutions": base64.b64encode(block).decode("ascii"),
@@ -276,31 +281,32 @@ def cmd_enumerate(args):
         if not args.naive:
             raise DomainError("--max-points bounds the --naive scan only")
     budget = DEFAULT_POINT_BUDGET if args.max_points is None else args.max_points
+    # the oracle checks the engine: it never reads or writes its cache
+    if args.naive and (args.count_only or args.cache):
+        flag = "--count-only" if args.count_only else "--cache"
+        raise DomainError(f"{flag} and --naive cannot be combined")
     m = args.m
-    # one canonical J (sorted) for the columns, the cache key and --naive
-    J = None
-    if args.support:
-        J = tuple(sorted(_parse_int_list(args.support, "support")))
+    # one alphabet, checked once, for the count, the engine or oracle,
+    # the columns and the cache: --support sorted, or 1..m-1
+    if args.support is not None:
+        nf = NormalForm(m, tuple(sorted(_parse_int_list(args.support, "support"))))
+    else:
+        nf = NormalForm.standard(m)
+    letters = nf.support
     if args.count_only:
-        if args.naive:
-            raise DomainError("--count-only and --naive cannot be combined")
-        print(count_letters(m, J or range(1, m)), file=out)
+        print(count_letters(m, letters), file=out)
         return EXIT_OK
     started = time.monotonic()
-    solutions = None
-    if args.cache:
-        solutions = _cache_load(args.cache, m, J)
-    if solutions is None:
-        if args.naive:
-            solutions = enumerate_naive(m, J, max_points=budget).solutions
-        elif J is not None:
-            solutions = enumerate_normal_form(NormalForm(m, J)).solutions
-        else:
-            solutions = enumerate_standard(m).solutions
-        if args.cache:
-            _cache_store(args.cache, m, J, solutions)
+    if args.naive:
+        solutions = enumerate_naive(m, letters, max_points=budget).solutions
+    else:
+        solutions = _cache_load(args.cache, m, letters) if args.cache else None
+        if solutions is None:
+            solutions = enumerate_normal_form(nf).solutions
+            if args.cache:
+                _cache_store(args.cache, m, letters, solutions)
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    count = _emit_solutions(solutions, args.format, m, J or range(1, m), out)
+    count = _emit_solutions(solutions, args.format, m, letters, out)
     _emit_summary(m, count, elapsed_ms, args.format, err)
     return EXIT_OK
 

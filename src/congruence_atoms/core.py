@@ -172,10 +172,20 @@ class CongruenceInstance:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """The standard congruence restricted to a coefficient set J."""
+    """The standard congruence restricted to a coefficient set J: the
+    one check of a letter set, for every walk, count and scan."""
 
     modulus: int
     support: tuple  # strictly increasing, within (0, m)
+
+    @classmethod
+    def standard(cls, m):
+        """The whole alphabet J = 1..m-1."""
+        try:
+            letters = tuple(range(1, m))
+        except OverflowError:
+            raise BudgetExceeded(f"the alphabet 1..m-1 has {m - 1} letters") from None
+        return cls(m, letters)
 
     def __post_init__(self):
         if self.modulus < 2:

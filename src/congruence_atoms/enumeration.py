@@ -49,20 +49,15 @@ _TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """The atoms over one alphabet; `support` is never None."""
+
     modulus: int
-    support: tuple | None  # J for a normal form, None for the standard alphabet
-    solutions: tuple       # lexicographically sorted coordinate tuples
+    support: tuple    # the letters, strictly increasing; 1..m-1 if standard
+    solutions: tuple  # lexicographically sorted coordinate tuples
 
     @property
     def count(self):
         return len(self.solutions)
-
-    @property
-    def letters(self):
-        """Coefficient value attached to each coordinate position."""
-        if self.support is not None:
-            return self.support
-        return tuple(range(1, self.modulus))
 
 
 def _closure_mask(letters, counts, m):
@@ -114,19 +109,15 @@ def _enumerate_letters(m, letters):
 
 
 def count_letters(m, letters):
-    """Number of indecomposable solutions over the distinct letters in
-    (0, m), without building them.
+    """Number of indecomposable solutions over the letters (strictly
+    increasing, in (0, m), checked by NormalForm), without building them.
 
     The same closing-letter walk as _enumerate_letters, but returning the
     number of atoms below each node.  That number depends only on the
     next letter index, the closure mask and the running sum mod m, so it
     is memoised on that state.
     """
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    letters = tuple(letters)
-    if len(set(letters)) != len(letters) or not all(0 < a < m for a in letters):
-        raise DomainError("letters must be distinct and lie in (0, m)")
+    letters = NormalForm(m, letters).support
     tails, closer = _walk_tables(m, letters)
     # one memo per next letter index; total < m, so mask * m + total
     # stands for the pair (mask, total)
@@ -152,9 +143,8 @@ def count_letters(m, letters):
 
 def enumerate_standard(m):
     """All indecomposable solutions of x1 + 2*x2 + ... + (m-1)*x_{m-1} = 0 mod m."""
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    return EnumerationResult(m, None, _enumerate_letters(m, range(1, m)))
+    letters = NormalForm.standard(m).support
+    return EnumerationResult(m, letters, _enumerate_letters(m, letters))
 
 
 def enumerate_normal_form(nf: NormalForm):
@@ -231,14 +221,9 @@ def _dominates_some(x, solution_set):
     )
 
 
-def enumerate_naive(m, J=None, max_points=DEFAULT_POINT_BUDGET):
-    """Oracle counterpart of enumerate_standard / enumerate_normal_form."""
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    if J is not None:
-        nf = NormalForm(m, tuple(sorted(J)))
-        letters = nf.support
-    else:
-        letters = tuple(range(1, m))
-    sols = naive_minimal_solutions(m, letters, max_points=max_points)
-    return EnumerationResult(m, letters if J is not None else None, tuple(sorted(sols)))
+def enumerate_naive(m, support=None, max_points=DEFAULT_POINT_BUDGET):
+    """Oracle counterpart of enumerate_standard (no support) and
+    enumerate_normal_form (a strictly increasing support)."""
+    nf = NormalForm.standard(m) if support is None else NormalForm(m, support)
+    sols = naive_minimal_solutions(m, nf.support, max_points=max_points)
+    return EnumerationResult(m, nf.support, tuple(sorted(sols)))

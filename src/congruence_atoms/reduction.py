@@ -84,7 +84,7 @@ def _check_pair(plan, normal_solutions):
         return
     if normal_solutions.modulus != plan.modulus:
         raise DomainError("modulus mismatch between plan and normal solutions")
-    if tuple(normal_solutions.letters) != plan.support:
+    if normal_solutions.support != plan.support:
         raise DomainError("support mismatch between plan and normal solutions")
 
 

@@ -20,6 +20,7 @@ from .core import BudgetExceeded, DomainError, closure_step
 
 SUBSET_SCAN_MAX_SIZE = 25
 DEFAULT_SCAN_BUDGET = 5_000_000
+LEMMA_MAX_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,9 @@ def verify_general(r, m, budget=DEFAULT_SCAN_BUDGET):
     return scan_admissible(m, r, budget)[r]
 
 
-def lemma_expls_checks(m, max_size=5):
+def lemma_expls_checks(m):
     """Elementary diversity facts, checked over every subset of
-    {1..m-1} of size <= max_size; returns the number of subsets.
+    {1..m-1} of size <= LEMMA_MAX_SIZE; returns the number of subsets.
 
     Each subset gets one `diversity` scan, by size r ascending.  For an
     admissible set it checks r + 1 <= diversity <= min(2^r, m), 2r <= m,
@@ -219,7 +220,7 @@ def lemma_expls_checks(m, max_size=5):
         raise DomainError("exhaustive regime is m <= 16")
     checked = 0
     admissible = set()   # every subset the oracle called admissible
-    for r in range(0, max_size + 1):
+    for r in range(LEMMA_MAX_SIZE + 1):
         masks = 1 << r   # subsets of an r-set, as bit masks
         for subset in combinations(range(1, m), r):
             report = diversity(IndexSet(m, subset))

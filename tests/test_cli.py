@@ -127,8 +127,9 @@ def test_cache_round_trip(tmp_path, capsys):
         original = fh.read()
     from congruence_atoms.cli import _cache_load, _cache_store
 
-    solutions = _cache_load(cache, 9, None)
-    _cache_store(cache, 9, None, solutions)
+    letters = tuple(range(1, 9))
+    solutions = _cache_load(cache, 9, letters)
+    _cache_store(cache, 9, letters, solutions)
     with open(path, "rb") as fh:
         assert fh.read() == original
 
@@ -395,6 +396,13 @@ def test_support_order_is_canonical(tmp_path, capsys):
     )
     assert first == second
     assert os.listdir(cache) == ["enum-m7-J1-3.json"]
+    # one file per alphabet: the support 1..m-1 is the standard alphabet
+    _, full, _ = run_cli(["enumerate", "7", "--support", "6,5,4,3,2,1"], capsys)
+    _, hit, _ = run_cli(
+        ["enumerate", "7", "--support", "1,2,3,4,5,6", "--cache", cache], capsys
+    )
+    assert hit == full
+    assert sorted(os.listdir(cache)) == ["enum-m7-J1-3.json", "enum-m7.json"]
 
 
 def test_unusable_cache_path_is_a_domain_error(tmp_path, capsys):
@@ -428,6 +436,50 @@ def test_enumerate_count_only_rejects_naive(capsys):
     code, out, err = run_cli(["enumerate", "6", "--count-only", "--naive"], capsys)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_naive_never_touches_the_cache(tmp_path, capsys):
+    # a warm cache must not answer for the oracle, which would then
+    # check nothing; nor may the oracle's rows be stored as the engine's
+    cache = str(tmp_path / "cache")
+    code, _, _ = run_cli(["enumerate", "9", "--cache", cache], capsys)
+    assert code == 0 and os.listdir(cache) == ["enum-m9.json"]
+    fresh = str(tmp_path / "fresh")
+    for directory in (cache, fresh):
+        code, out, err = run_cli(
+            ["enumerate", "9", "--naive", "--max-points", "0", "--cache", directory],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not os.path.exists(fresh)
+
+
+@pytest.mark.parametrize("support", ["1,1", "0", "5", ""])
+def test_bad_support_is_one_error_on_every_path(capsys, support):
+    errors = set()
+    for extra in ([], ["--count-only"], ["--naive"]):
+        code, out, err = run_cli(
+            ["enumerate", "5", "--support", support, *extra], capsys
+        )
+        assert code == 2 and out == "", extra
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, extra
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
+def test_bad_support_never_reads_the_cache(tmp_path, capsys):
+    from congruence_atoms.cli import _cache_store
+
+    # a well-formed file for the letter set {0}, which no path accepts
+    cache = str(tmp_path / "cache")
+    _cache_store(cache, 5, (0,), [(5,)])
+    assert os.listdir(cache) == ["enum-m5-J0.json"]
+    code, out, err = run_cli(
+        ["enumerate", "5", "--support", "0", "--cache", cache], capsys
+    )
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
@@ -690,12 +742,15 @@ def test_walk_past_the_recursion_limit_is_a_budget_refusal(capsys, argv):
         ["enumerate", str(2**64 + 1), "--support", "1", "--count-only"],
         ["solve", "--modulus", str(2**64 + 1), "--coeffs", "1,0"],
         ["enumerate", str(2**63), "--support", str(2**62)],
+        ["enumerate", str(2**64 + 1), "--count-only"],
+        ["enumerate", str(2**64 + 1), "--naive"],
     ],
-    ids=["count-only", "solve", "enumerate"],
+    ids=["count-only", "solve", "enumerate", "standard-count-only", "standard-naive"],
 )
 def test_huge_modulus_is_a_budget_refusal(capsys, argv):
     # an m-bit closure mask with m >= 2**63 fails before any memory is
-    # taken; no table of the walk has m entries
+    # taken; no table of the walk has m entries; and the alphabet
+    # 1..m-1 at m = 2**64 + 1 has more letters than a tuple can hold
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""

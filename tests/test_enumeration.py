@@ -58,9 +58,23 @@ def test_domain_errors():
         enumerate_standard(1)
     with pytest.raises(DomainError):
         enumerate_naive(1)
-    for m, letters in ((1, ()), (5, (1, 1)), (5, (0, 2)), (5, (2, 5))):
-        with pytest.raises(DomainError):
-            count_letters(m, letters)
+    # NormalForm is the one check of a letter set: the counter and the
+    # oracle refuse what it refuses, with its message
+    for m, letters in ((1, ()), (5, (1, 1)), (5, (0, 2)), (5, (2, 5)), (5, (2, 1))):
+        with pytest.raises(DomainError) as expected:
+            NormalForm(m, letters)
+        for refuse in (count_letters, enumerate_naive):
+            with pytest.raises(DomainError) as caught:
+                refuse(m, letters)
+            assert str(caught.value) == str(expected.value), (refuse, m, letters)
+
+
+def test_every_result_names_its_letters():
+    standard = (1, 2, 3, 4)
+    assert enumerate_standard(5).support == standard
+    assert enumerate_naive(5).support == standard
+    assert enumerate_normal_form(NormalForm.standard(5)).support == standard
+    assert enumerate_naive(5, (2, 3)).support == (2, 3)
 
 
 def test_ordering_is_lexicographic(standard_enumerations):

@@ -86,7 +86,7 @@ def test_verify_extremal_fails_on_a_missing_solution_under_optimisation():
         "from congruence_atoms.enumeration import EnumerationResult\n"
         "full = enumerate_standard(7)\n"
         "kept = tuple(x for x in full.solutions if x != (7, 0, 0, 0, 0, 0))\n"
-        "verify_extremal(7, EnumerationResult(7, None, kept))\n"
+        "verify_extremal(7, EnumerationResult(7, full.support, kept))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
