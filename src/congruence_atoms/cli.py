@@ -21,7 +21,7 @@ from itertools import islice, starmap
 from struct import Struct
 
 from . import tables
-from .bounds import bound_q, bound_r, log2_rounded, partition_count, table2
+from .bounds import bound_q, bound_r, partition_count, table2
 from .core import (
     DIGIT_CODES,
     BudgetExceeded,
@@ -33,13 +33,11 @@ from .core import (
     euler_phi,
 )
 from .enumeration import (
-    DEFAULT_POINT_BUDGET,
     ENGINE_FINGERPRINT,
     count_letters,
     enumerate_naive,
     enumerate_normal_form,
     enumerate_standard,
-    naive_minimal_solutions,
 )
 from .extremal import extremal_all, extremal_filter, verify_extremal
 from .reduction import build_plan, count_general, lift_solutions
@@ -273,14 +271,8 @@ def _cache_store(directory, m, letters, solutions):
 
 def cmd_enumerate(args):
     out, err = sys.stdout, sys.stderr
-    # the flag defaults to None so that giving it without --naive, the
-    # only scan it bounds, can be refused
-    if args.max_points is not None:
-        if args.max_points < 0:
-            raise DomainError(f"--max-points must be >= 0, got {args.max_points}")
-        if not args.naive:
-            raise DomainError("--max-points bounds the --naive scan only")
-    budget = DEFAULT_POINT_BUDGET if args.max_points is None else args.max_points
+    if args.cache == "":
+        raise DomainError("--cache needs a directory name")
     # the oracle checks the engine: it never reads or writes its cache
     if args.naive and (args.count_only or args.cache):
         flag = "--count-only" if args.count_only else "--cache"
@@ -298,7 +290,7 @@ def cmd_enumerate(args):
         return EXIT_OK
     started = time.monotonic()
     if args.naive:
-        solutions = enumerate_naive(m, letters, max_points=budget).solutions
+        solutions = enumerate_naive(m, letters).solutions
     else:
         solutions = _cache_load(args.cache, m, letters) if args.cache else None
         if solutions is None:
@@ -363,11 +355,6 @@ def cmd_extremal(args):
 
 def cmd_bounds(args):
     out, err = sys.stdout, sys.stderr
-    if args.print_oeis:
-        # reference counts for manual comparison with OEIS A096337
-        for m in sorted(tables.ELL):
-            print(f"{m},{tables.ELL[m]}", file=out)
-        return EXIT_OK
     rows = table2(args.m_min, args.m_max, with_enumeration=args.live)
     print("m,ell,log2_ell,q,r,m_times_p,ell_source", file=out)
     for row in rows:
@@ -515,11 +502,6 @@ def build_parser():
         action="store_true",
         help="print the number of solutions without building them or using the cache",
     )
-    p.add_argument(
-        "--max-points",
-        type=int,
-        help=f"point budget of the --naive scan (default {DEFAULT_POINT_BUDGET})",
-    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="solve a general congruence instance")
@@ -539,7 +521,6 @@ def build_parser():
     p.add_argument("m_min", type=int, nargs="?", default=4)
     p.add_argument("m_max", type=int, nargs="?", default=14)
     p.add_argument("--live", action="store_true", help="count by exhaustive search instead of using the embedded table")
-    p.add_argument("--print-oeis", action="store_true", help="print the embedded counts for comparison with OEIS A096337")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("diversity", help="subset-sum diversity of an index set")
@@ -563,8 +544,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`): not an error.
+        # Point the descriptor at devnull so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -575,6 +564,7 @@ def main(argv=None):
         # e.g. the m-bit closure mask of a huge modulus
         print("budget exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
+    return code
 
 
 if __name__ == "__main__":

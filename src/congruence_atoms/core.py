@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 
@@ -18,7 +18,7 @@ class DomainError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive scan would exceed its configured budget."""
+    """An exhaustive scan would exceed its budget."""
 
     def __init__(self, message, required=None):
         super().__init__(message)
@@ -69,6 +69,21 @@ def check_vector(coords):
     if any(c < 0 for c in coords):
         raise DomainError("solution vector coordinates must be >= 0")
     return coords
+
+
+def check_letters(m, letters, name):
+    """Validate and freeze a letter set mod m: strictly increasing, within
+    (0, m), possibly empty.  `name` names the set in the error message."""
+    if m < 2:
+        raise DomainError("modulus must be >= 2")
+    letters = tuple(letters)
+    if any(j <= 0 or j >= m for j in letters):
+        raise DomainError(f"{name} elements must lie in (0, m)")
+    for a, b in zip(letters, letters[1:]):
+        if a >= b:
+            fault = f"repeats {a}" if a == b else "must be strictly increasing"
+            raise DomainError(f"{name} {fault}")
+    return letters
 
 
 def leq(x, y):
@@ -146,13 +161,11 @@ def binomial(n, k):
 class CongruenceInstance:
     """A general congruence: a1*x1 + ... + an*xn = 0 mod m.
 
-    Coefficients are normalized into [0, m) on construction; the values
-    as given are kept in `original` for display.
+    Coefficients are normalized into [0, m) on construction.
     """
 
     modulus: int
     coefficients: tuple
-    original: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.modulus < 2:
@@ -160,7 +173,6 @@ class CongruenceInstance:
         coeffs = tuple(self.coefficients)
         if len(coeffs) < 1:
             raise DomainError("need at least one coefficient")
-        object.__setattr__(self, "original", coeffs)
         object.__setattr__(
             self, "coefficients", tuple(a % self.modulus for a in coeffs)
         )
@@ -188,13 +200,7 @@ class NormalForm:
         return cls(m, letters)
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise DomainError("modulus must be >= 2")
-        J = tuple(self.support)
+        J = check_letters(self.modulus, self.support, "support")
         if not J:
             raise DomainError("support set J must be non-empty")
-        if any(j <= 0 or j >= self.modulus for j in J):
-            raise DomainError("support elements must lie in (0, m)")
-        if any(a >= b for a, b in zip(J, J[1:])):
-            raise DomainError("support must be strictly increasing")
         object.__setattr__(self, "support", J)

@@ -40,7 +40,7 @@ from .core import (
 
 ENGINE_FINGERPRINT = "closing-letter/2"
 
-DEFAULT_POINT_BUDGET = 50_000_000
+POINT_BUDGET = 50_000_000
 
 # the walks recurse once per letter of the multiset, so a long atom (at
 # m of about 1000 and up) can outrun the interpreter's recursion limit
@@ -185,7 +185,7 @@ def is_indecomposable(coords, m, support=None):
     return not _closure_mask(letters, rest, m) & 1
 
 
-def naive_minimal_solutions(m, weights, max_points=DEFAULT_POINT_BUDGET):
+def naive_minimal_solutions(m, weights):
     """Three-step oracle: scan the simplex |x|_1 <= m, keep solutions,
     drop the non-minimal ones.  Independent of the DFS engine."""
     if m < 2:
@@ -193,9 +193,9 @@ def naive_minimal_solutions(m, weights, max_points=DEFAULT_POINT_BUDGET):
     weights = tuple(w % m for w in weights)
     k = len(weights)
     points = math.comb(m + k, k)
-    if points > max_points:
+    if points > POINT_BUDGET:
         raise BudgetExceeded(
-            f"simplex scan needs {points} points, budget is {max_points}",
+            f"simplex scan needs {points} points, budget is {POINT_BUDGET}",
             required=points,
         )
     solutions = []
@@ -221,9 +221,9 @@ def _dominates_some(x, solution_set):
     )
 
 
-def enumerate_naive(m, support=None, max_points=DEFAULT_POINT_BUDGET):
+def enumerate_naive(m, support=None):
     """Oracle counterpart of enumerate_standard (no support) and
     enumerate_normal_form (a strictly increasing support)."""
     nf = NormalForm.standard(m) if support is None else NormalForm(m, support)
-    sols = naive_minimal_solutions(m, nf.support, max_points=max_points)
+    sols = naive_minimal_solutions(m, nf.support)
     return EnumerationResult(m, nf.support, tuple(sorted(sols)))

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BudgetExceeded, DomainError, closure_step
+from .core import BudgetExceeded, DomainError, check_letters, closure_step
 
 SUBSET_SCAN_MAX_SIZE = 25
-DEFAULT_SCAN_BUDGET = 5_000_000
+SCAN_BUDGET = 5_000_000
 LEMMA_MAX_SIZE = 5
 
 
@@ -29,13 +29,7 @@ class IndexSet:
     elements: tuple
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise DomainError("modulus must be >= 2")
-        elems = tuple(self.elements)
-        if any(e <= 0 or e >= self.modulus for e in elems):
-            raise DomainError("elements must lie in (0, m)")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise DomainError("elements must be strictly increasing")
+        elems = check_letters(self.modulus, self.elements, "set")
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -133,13 +127,14 @@ def diversity_floor(m, r):
     return 2 * r + 1
 
 
-def scan_admissible(m, r_max, budget=DEFAULT_SCAN_BUDGET):
+def scan_admissible(m, r_max):
     """One ScanSummary per set size r = 0..r_max over the admissible
     r-subsets of {1..m-1}, found by one depth-first walk of at most
-    `budget` sets.  Each set's diversity is popcount(mask | 1) of its
+    SCAN_BUDGET sets.  Each set's diversity is popcount(mask | 1) of its
     closure mask; minimisers are listed in lexicographic order."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
+    budget = SCAN_BUDGET
     counts = [{} for _ in range(r_max + 1)]
     best = [None] * (r_max + 1)   # per size: [min diversity, minimisers]
     path = []
@@ -194,14 +189,13 @@ def verify_r4(m):
     return scan_admissible(m, 4)[4]
 
 
-def verify_general(r, m, budget=DEFAULT_SCAN_BUDGET):
-    """Exhaustive check that every admissible r-set has diversity >= 2r+1;
-    `budget` caps the number of sets the walk visits."""
+def verify_general(r, m):
+    """Exhaustive check that every admissible r-set has diversity >= 2r+1."""
     if r < 4:
         raise DomainError("verify_general needs r >= 4")
     if m < 2 * r + 1:
         raise DomainError("verify_general needs m >= 2r+1")
-    return scan_admissible(m, r, budget)[r]
+    return scan_admissible(m, r)[r]
 
 
 def lemma_expls_checks(m):

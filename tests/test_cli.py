@@ -62,34 +62,12 @@ def test_enumerate_domain_error(capsys):
 
 
 def test_enumerate_budget_refusal(capsys):
-    code, out, err = run_cli(
-        ["enumerate", "12", "--naive", "--max-points", "10"], capsys
-    )
+    code, out, err = run_cli(["enumerate", "15", "--naive"], capsys)
     assert code == 3
-    assert "budget" in err
-
-
-def test_enumerate_negative_max_points_is_a_domain_error(capsys):
-    # zero is a valid budget: the scan is refused, the input is not
-    code, _, err = run_cli(["enumerate", "12", "--naive", "--max-points", "0"], capsys)
-    assert code == 3 and "budget" in err
-    for extra in (["--naive"], []):
-        code, out, err = run_cli(
-            ["enumerate", "12", *extra, "--max-points", "-1"], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
-
-def test_enumerate_max_points_without_naive_is_a_domain_error(capsys):
-    # the budget bounds only the --naive scan; without it the flag would
-    # be ignored and every atom printed
-    code, out, err = run_cli(["enumerate", "12", "--max-points", "10"], capsys)
-    assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "--naive" in err
+    assert err == (
+        "budget exceeded: simplex scan needs 77558760 points, budget is 50000000\n"
+    )
 
 
 def test_weight_uses_the_coefficients(capsys):
@@ -448,12 +426,32 @@ def test_naive_never_touches_the_cache(tmp_path, capsys):
     fresh = str(tmp_path / "fresh")
     for directory in (cache, fresh):
         code, out, err = run_cli(
-            ["enumerate", "9", "--naive", "--max-points", "0", "--cache", directory],
-            capsys,
+            ["enumerate", "9", "--naive", "--cache", directory], capsys
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not os.path.exists(fresh)
+
+
+def test_empty_cache_is_one_error_on_every_path(tmp_path, monkeypatch, capsys):
+    # an empty --cache names no directory; it is not "no cache"
+    monkeypatch.chdir(tmp_path)
+    for extra in ([], ["--count-only"], ["--naive"]):
+        code, out, err = run_cli(["enumerate", "5", "--cache", "", *extra], capsys)
+        assert code == 2 and out == "", extra
+        assert err == "error: --cache needs a directory name\n", extra
+    assert os.listdir(tmp_path) == []
+
+
+def test_repeated_letter_is_named(capsys):
+    # both lists are sorted first, so the fault is the repeat, not the order
+    for argv, message in (
+        (["enumerate", "5", "--support", "2,1,2"], "support repeats 2"),
+        (["diversity", "--modulus", "6", "--set", "1,1"], "set repeats 1"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("support", ["1,1", "0", "5", ""])
@@ -757,13 +755,6 @@ def test_huge_modulus_is_a_budget_refusal(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
 
 
-def test_bounds_print_oeis(capsys):
-    code, out, _ = run_cli(["bounds", "--print-oeis"], capsys)
-    assert code == 0
-    assert out.splitlines()[0] == "2,1"
-    assert out.splitlines()[-1] == "23,29161"
-
-
 def test_diversity_command(capsys):
     code, out, _ = run_cli(
         ["diversity", "--modulus", "6", "--set", "1,3,4"], capsys
@@ -906,6 +897,35 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 7
+
+
+def test_closed_stdout_is_not_an_error():
+    # `enumerate 23 | head -n 1`: the 29161 records overfill the pipe, so
+    # the writer meets the closed read end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "congruence_atoms.cli", "enumerate", "23"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"x=(")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""
+
+
+def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch):
+    # a reader that stops early hides no failed verification
+    from congruence_atoms import tables
+
+    monkeypatch.setitem(tables.ELL, 5, 999)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["verify", "--suite", "tables", "--m-max", "5"])
+    assert code == 1
+    assert "failed=1" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -125,7 +125,6 @@ def test_leq_partial_order():
 def test_congruence_instance_normalization():
     inst = CongruenceInstance(5, (7, 2))
     assert inst.coefficients == (2, 2)
-    assert inst.original == (7, 2)
     with pytest.raises(DomainError):
         CongruenceInstance(1, (1,))
     with pytest.raises(DomainError):

@@ -117,8 +117,6 @@ def test_naive_matches_brute_force_minimal_filter():
 def test_naive_budget_refusal():
     with pytest.raises(BudgetExceeded):
         enumerate_naive(30)
-    with pytest.raises(BudgetExceeded):
-        enumerate_naive(8, max_points=10)
 
 
 def test_pairwise_incomparability(standard_enumerations):

@@ -107,7 +107,7 @@ def test_verify_r4():
     assert at8.admissible_count == 0 or at8.min_diversity >= 9
 
 
-def test_verify_general():
+def test_verify_general(monkeypatch):
     for r in (4, 5):
         for m in range(2 * r + 1, 17):
             summary = verify_general(r, m)
@@ -116,8 +116,13 @@ def test_verify_general():
                 assert summary.min_diversity >= 2 * r + 1
     with pytest.raises(DomainError):
         verify_general(3, 9)
+    # the walk reads SCAN_BUDGET per call and may visit exactly that many sets
+    visited = sum(s.admissible_count for s in scan_admissible(16, 5))
+    monkeypatch.setattr(subset_sums, "SCAN_BUDGET", visited)
+    assert verify_general(5, 16).ok
+    monkeypatch.setattr(subset_sums, "SCAN_BUDGET", visited - 1)
     with pytest.raises(BudgetExceeded):
-        verify_general(5, 16, budget=10)
+        verify_general(5, 16)
 
 
 def _oracle_summary(m, r):
