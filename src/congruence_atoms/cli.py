@@ -128,21 +128,18 @@ def _emit_solutions(solutions, fmt, m, letters, out):
 
 def _emit_lifted(rows, fmt, plan, atoms, out):
     """Write one record per row of `lift_solutions(plan, ..., tagged=True)`,
-    whose last item tags the atom it was lifted from; return the number
-    of rows.  Every row lifted from atom y has length sum_r y_r and
-    weight sum_r r * y_r over the support, and a unit row of the zero
-    class (tag 0) has length 1 and weight 0, so only the width is read
-    from the row; the record tail is made once per (tag, zeros)."""
+    whose last item tags the atom it was lifted from (tag k for atoms[k-1]);
+    return the number of rows.  Every row lifted from atom y has length
+    sum_r y_r and weight sum_r r * y_r over the support, so only the
+    width is read from the row; the record tail is made once per
+    (tag, zeros)."""
     (head, sep, tail), digits = _start_records(fmt, plan.modulus, out)
     n = sum(plan.class_sizes.values())
     tails = {}
 
     def make_tail(tag, zeros):
-        if tag:
-            y = atoms[tag - 1]
-            length, weight = sum(y), sum(map(operator.mul, plan.support, y))
-        else:
-            length, weight = 1, 0
+        y = atoms[tag - 1]
+        length, weight = sum(y), sum(map(operator.mul, plan.support, y))
         width = n - zeros
         text = tails[tag, zeros] = tail % (length, width, weight, length + width)
         return text
@@ -173,8 +170,9 @@ def _emit_summary(m, count, elapsed_ms, fmt, err):
 
 def _cache_key(m, letters):
     """The J of a cache file's name and header: None for 1..m-1."""
-    # 1..m-1 is the only strictly increasing run of m - 1 letters in (0, m)
-    return None if len(letters) == m - 1 else list(letters)
+    # 1..m-1 is the only strictly increasing run of m - 1 letters in [0, m)
+    # that does not start at 0
+    return None if len(letters) == m - 1 and letters[0] else list(letters)
 
 
 def _cache_path(directory, m, J):
@@ -310,17 +308,14 @@ def cmd_solve(args):
     coeffs = _parse_int_list(args.coeffs, "coefficient")
     inst = CongruenceInstance(args.modulus, coeffs)
     plan = build_plan(inst)
-    normal = None
-    if plan.support:
-        normal = enumerate_normal_form(NormalForm(plan.modulus, plan.support))
+    normal = enumerate_normal_form(NormalForm(plan.modulus, plan.support))
     if args.count_only:
         print(count_general(plan, normal), file=out)
         return EXIT_OK
     started = time.monotonic()
     rows = lift_solutions(plan, normal, tagged=True)
     shown = rows if args.max_rows is None else islice(rows, args.max_rows)
-    atoms = () if normal is None else normal.solutions
-    count = _emit_lifted(shown, args.format, plan, atoms, out)
+    count = _emit_lifted(shown, args.format, plan, normal.solutions, out)
     # islice stops before it takes row max_rows + 1, so a row left over
     # means the output was capped
     if next(rows, None) is not None:
@@ -542,6 +537,11 @@ def build_parser():
 
 
 def main(argv=None):
+    # a stream closed at start-up is None, and print(..., file=None) would
+    # write to stdout: send its output to devnull instead
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w"))
     parser = build_parser()
     args = parser.parse_args(argv)
     code = EXIT_OK

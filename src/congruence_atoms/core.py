@@ -73,12 +73,12 @@ def check_vector(coords):
 
 def check_letters(m, letters, name):
     """Validate and freeze a letter set mod m: strictly increasing, within
-    (0, m), possibly empty.  `name` names the set in the error message."""
+    [0, m), possibly empty.  `name` names the set in the error message."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
     letters = tuple(letters)
-    if any(j <= 0 or j >= m for j in letters):
-        raise DomainError(f"{name} elements must lie in (0, m)")
+    if any(j < 0 or j >= m for j in letters):
+        raise DomainError(f"{name} elements must lie in [0, m)")
     for a, b in zip(letters, letters[1:]):
         if a >= b:
             fault = f"repeats {a}" if a == b else "must be strictly increasing"
@@ -185,10 +185,11 @@ class CongruenceInstance:
 @dataclass(frozen=True)
 class NormalForm:
     """The standard congruence restricted to a coefficient set J: the
-    one check of a letter set, for every walk, count and scan."""
+    one check of a letter set, for every walk, count and scan.  Letter 0
+    is allowed: its one atom is the unit vector e_0."""
 
     modulus: int
-    support: tuple  # strictly increasing, within (0, m)
+    support: tuple  # strictly increasing, within [0, m)
 
     @classmethod
     def standard(cls, m):

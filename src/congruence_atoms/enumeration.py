@@ -17,8 +17,10 @@ needs no minimality re-check and no size pruning.  Each node keeps a
 width-m bitmask A of the residues attainable as non-empty sub-multiset
 sums; adding a letter t maps A to A | rot(A, t) | {t} (core.closure_step),
 and T is zero-sum-free exactly while bit 0 of A is clear.  The walk
-starts at the empty multiset, which closes with no letter, so atoms of
-length 1 do not occur: every letter is non-zero mod m.
+starts at the empty multiset, whose closing letter is 0: where 0 is a
+letter, the unit vector e_0 is the one atom of length 1.  A zero-sum-free
+T never holds the letter 0, so letter 0 only ever closes the empty
+multiset.
 
 The naive simplex scan is kept as a fully independent oracle.
 """
@@ -41,10 +43,6 @@ from .core import (
 ENGINE_FINGERPRINT = "closing-letter/2"
 
 POINT_BUDGET = 50_000_000
-
-# the walks recurse once per letter of the multiset, so a long atom (at
-# m of about 1000 and up) can outrun the interpreter's recursion limit
-_TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"
 
 
 @dataclass(frozen=True)
@@ -70,55 +68,65 @@ def _closure_mask(letters, counts, m):
 
 
 def _walk_tables(m, letters):
-    """Tables of the closing-letter walk over the distinct letters in
-    (0, m): per next letter index p, the steps (j, a, m - a) with j >= p,
-    where bit m - a of a mask is bit 0 once a is added; and, keyed by the
-    running sum s mod m, the index of the letter -s mod m where there is
-    one.  Neither table grows with m."""
-    steps = [(j, a, m - a) for j, a in enumerate(letters)]
-    closer = {back: j for j, _, back in steps}
-    return [steps[p:] for p in range(len(steps) + 1)], closer
+    """The steps of the closing-letter walk over the distinct letters in
+    [0, m), per next letter index p: the triples (j, a, back) with j >= p
+    and back = -a mod m.  Letter a closes a multiset whose sum is back;
+    otherwise it extends one whose mask has bit back clear.  No table
+    grows with m."""
+    steps = [(j, a, -a % m) for j, a in enumerate(letters)]
+    return [steps[p:] for p in range(len(steps) + 1)]
+
+
+def _walk(visit):
+    """Run a walk from the empty multiset.  The walks recurse once per
+    letter, so a long atom (at m of about 1000 and up) can outrun the
+    recursion limit; and the closure step's 1 << m is an OverflowError
+    past about m = 2**65 (a MemoryError, which the CLI refuses, below)."""
+    try:
+        return visit(0, 0, 0)
+    except RecursionError:
+        reason = "the closing-letter walk is deeper than the recursion limit"
+    except OverflowError:
+        reason = "the closure mask has more bits than an int can hold"
+    raise BudgetExceeded(reason)
 
 
 def _enumerate_letters(m, letters):
-    """All indecomposable solutions over the distinct letters in (0, m),
+    """All indecomposable solutions over the distinct letters in [0, m),
     sorted: one closing-letter walk from the empty multiset."""
-    tails, closer = _walk_tables(m, letters)
+    tails = _walk_tables(m, letters)
     counts = [0] * (len(tails) - 1)
     out = []
 
     def visit(pos, mask, total):
-        # the multiset in counts is zero-sum-free: bit 0 of mask is clear
-        j = closer.get(total, -1)
-        if j >= pos:
-            counts[j] += 1
-            out.append(tuple(counts))
-            counts[j] -= 1
+        # the multiset in counts is zero-sum-free: bit 0 of mask is clear.
+        # Closing is tested first: letter 0 (index 0, back 0) closes the
+        # empty multiset into e_0, so it is never added to a multiset
         for j, a, back in tails[pos]:
-            if not mask >> back & 1:
+            if back == total:
+                counts[j] += 1
+                out.append(tuple(counts))
+                counts[j] -= 1
+            elif not mask >> back & 1:
                 counts[j] += 1
                 visit(j, closure_step(mask, a, m), (total + a) % m)
                 counts[j] -= 1
 
-    # the empty multiset closes with no letter: closer has no key 0
-    try:
-        visit(0, 0, 0)
-    except RecursionError:
-        raise BudgetExceeded(_TOO_DEEP) from None
+    _walk(visit)
     return tuple(sorted(out))
 
 
 def count_letters(m, letters):
     """Number of indecomposable solutions over the letters (strictly
-    increasing, in (0, m), checked by NormalForm), without building them.
+    increasing, in [0, m), checked by NormalForm), without building them.
 
-    The same closing-letter walk as _enumerate_letters, but returning the
-    number of atoms below each node.  That number depends only on the
-    next letter index, the closure mask and the running sum mod m, so it
-    is memoised on that state.
+    The same closing-letter walk as _enumerate_letters, with the same two
+    branches per step, but returning the number of atoms below each node.
+    That number depends only on the next letter index, the closure mask
+    and the running sum mod m, so it is memoised on that state.
     """
     letters = NormalForm(m, letters).support
-    tails, closer = _walk_tables(m, letters)
+    tails = _walk_tables(m, letters)
     # one memo per next letter index; total < m, so mask * m + total
     # stands for the pair (mask, total)
     memos = [{} for _ in tails]
@@ -128,17 +136,16 @@ def count_letters(m, letters):
         key = mask * m + total
         n = memo.get(key)
         if n is None:
-            n = 1 if closer.get(total, -1) >= pos else 0
+            n = 0
             for j, a, back in tails[pos]:
-                if not mask >> back & 1:
+                if back == total:
+                    n += 1
+                elif not mask >> back & 1:
                     n += visit(j, closure_step(mask, a, m), (total + a) % m)
             memo[key] = n
         return n
 
-    try:
-        return visit(0, 0, 0)
-    except RecursionError:
-        raise BudgetExceeded(_TOO_DEEP) from None
+    return _walk(visit)
 
 
 def enumerate_standard(m):

@@ -1,28 +1,28 @@
 """Reduction of a general congruence to normal form and back.
 
 A general instance is partitioned by coefficient residue; the normal
-form over J = {r > 0 : some a_i = r mod m} is solved once, and its
-solutions are lifted by distributing each y_r over the indices of the
-class I_r in every possible way.  The lift is streamed in lexicographic
-order by a walk over the index positions that builds and sorts one
-bounded bucket of rows at a time, so its memory does not grow with the
-number of rows.  While a row is built and sorted it is one int, each
-coordinate a digit of a fixed byte width, so numeric order is
-lexicographic order; a sorted bucket is decoded to tuples in one call.
-One more, lowest digit of the int tags the row with the atom it was
-lifted from (0 for a unit row of the zero class, k for the k-th normal
-solution).  Two atoms never lift to the same row, since a row's class
-sums give its atom back, so the tag leaves the order unchanged; it is
-skipped when a bucket is decoded, or kept as a last coordinate with
-`tagged=True`, so that a caller can compute what is constant per atom
-once per atom.
+form over J = {r : some a_i = r mod m}, 0 included, is solved once, and
+its solutions are lifted by distributing each y_r over the indices of
+the class I_r in every possible way.  Letter 0 is an ordinary letter:
+its one atom e_0 lifts to the unit rows of the zero class.  The lift is
+streamed in lexicographic order by a walk over the index positions that
+builds and sorts one bounded bucket of rows at a time, so its memory
+does not grow with the number of rows.  While a row is built and sorted
+it is one int, each coordinate a digit of a fixed byte width, so numeric
+order is lexicographic order; a sorted bucket is decoded to tuples in
+one call.  One more, lowest digit of the int tags the row with the atom
+it was lifted from (k for the k-th normal solution).  Two atoms never
+lift to the same row, since a row's class sums give its atom back, so
+the tag leaves the order unchanged; it is skipped when a bucket is
+decoded, or kept as a last coordinate with `tagged=True`, so that a
+caller can compute what is constant per atom once per atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby, product, repeat, starmap
-from math import comb
+from math import comb, prod
 from operator import add, itemgetter, mul
 from struct import Struct
 
@@ -46,7 +46,7 @@ class ReductionPlan:
     modulus: int
     class_sizes: dict     # r -> n_r > 0
     index_classes: dict   # r -> I_r, a tuple of 0-based original indices
-    support: tuple        # J = sorted {r > 0 : n_r > 0}
+    support: tuple        # J = sorted {r : n_r > 0}, 0 included
 
 
 def build_plan(inst: CongruenceInstance) -> ReductionPlan:
@@ -55,8 +55,7 @@ def build_plan(inst: CongruenceInstance) -> ReductionPlan:
         classes.setdefault(a, []).append(i)
     index_classes = {r: tuple(classes[r]) for r in sorted(classes)}
     sizes = {r: len(idxs) for r, idxs in index_classes.items()}
-    support = tuple(r for r in index_classes if r)
-    return ReductionPlan(inst.modulus, sizes, index_classes, support)
+    return ReductionPlan(inst.modulus, sizes, index_classes, tuple(index_classes))
 
 
 class _Tables(dict):
@@ -78,10 +77,6 @@ class _Tables(dict):
 
 
 def _check_pair(plan, normal_solutions):
-    if normal_solutions is None:
-        if plan.support:
-            raise DomainError("normal-form solutions required for non-empty J")
-        return
     if normal_solutions.modulus != plan.modulus:
         raise DomainError("modulus mismatch between plan and normal solutions")
     if normal_solutions.support != plan.support:
@@ -94,7 +89,7 @@ BUCKET_ROWS = 4096
 
 
 def lift_solutions(
-    plan: ReductionPlan, normal_solutions: EnumerationResult = None, *, tagged=False
+    plan: ReductionPlan, normal_solutions: EnumerationResult, *, tagged=False
 ):
     """All indecomposable solutions of the general instance, lazily and
     in lexicographic order.
@@ -102,31 +97,28 @@ def lift_solutions(
     The rows come from a depth-first walk over the original index
     positions, with an explicit stack.  A node of the walk is a packed
     prefix of values and its length, the atoms still consistent with it
-    and how much of each residue class the prefix has placed.  The zero class is lifted as the
-    pseudo-atom y_0 = 1, so the unit rows e_i take their places in the
-    order like any other row.  At the last index of a class the value is
-    forced per atom; elsewhere it runs 0, 1, ... up to the largest
-    remainder.  A node whose subtree holds at most `BUCKET_ROWS` rows is
-    built whole and sorted.  Besides the atoms, the stream holds at most
-    n sorted lists of them on the stack and one bucket of rows at a time,
-    however many rows there are.
+    and how much of each residue class the prefix has placed.  At the
+    last index of a class the value is forced per atom; elsewhere it
+    runs 0, 1, ... up to the largest remainder.  A node whose subtree
+    holds at most `BUCKET_ROWS` rows is built whole and sorted.  Besides
+    the atoms, the stream holds at most n sorted lists of them on the
+    stack and one bucket of rows at a time, however many rows there are.
 
     A row is the int T * sum of x_i * B^(n-1-i), plus its atom's tag,
     while it is built and sorted, with B = 2^(8w) and w in {1, 2, 4, 8}
     bytes the narrowest width above the largest atom entry (no lifted
     coordinate is larger), and T = 2^(8t) with t the narrowest of the
-    same widths above the largest tag.  The tag is 0 for a unit row of
-    the zero class and k for a row lifted from the k-th atom of
-    `normal_solutions.solutions`.  Each sorted bucket is decoded by one
-    struct call: to the n coordinates, the tag skipped as pad bytes, or
-    with `tagged=True` to the n coordinates and the tag as an (n+1)-th
-    item.
+    same widths above the largest tag.  The tag is k for a row lifted
+    from the k-th of the K atoms of `normal_solutions.solutions`, so it
+    runs 1..K.  Each sorted bucket is decoded by one struct call: to the
+    n coordinates, the tag skipped as pad bytes, or with `tagged=True`
+    to the n coordinates and the tag as an (n+1)-th item.
 
     The plan and the normal solutions are checked here, not when the
     result is first iterated.
     """
     _check_pair(plan, normal_solutions)
-    solutions = () if normal_solutions is None else normal_solutions.solutions
+    solutions = normal_solutions.solutions
     top = max(map(max, solutions), default=0)
     width = digit_width(top)
     if width is None:
@@ -201,12 +193,10 @@ def _buckets(plan, solutions, width, tagged):
     """The walk of `lift_solutions`: its buckets in order, each an
     iterator over sorted rows with coordinates `width` bytes wide, and
     with the atom tag as a last item if `tagged`."""
-    # slot s of an atom is its total on the s-th non-empty class: class 0
-    # (if any) first, then the support in order; the tag comes last
+    # slot s of an atom is its total on the s-th class, the s-th letter
+    # of the support; the tag comes last
     classes = list(plan.index_classes.values())
     atoms = [y + (k,) for k, y in enumerate(solutions, 1)]
-    if 0 in plan.index_classes:
-        atoms = [(1,) + (0,) * len(plan.support) + (0,)] + [(0,) + y for y in atoms]
     n = sum(plan.class_sizes.values())
     slot = [0] * n
     last = [False] * n
@@ -240,17 +230,15 @@ def _buckets(plan, solutions, width, tagged):
             yield decode(b"".join(map(int.to_bytes, rows, repeat(size), repeat("big"))))
 
 
-def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult = None):
-    """N_m(a) = n_0 + sum over y of prod_r C(n_r + y_r - 1, y_r), exact."""
+def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult):
+    """N_m(a) = sum over y of prod_r C(n_r + y_r - 1, y_r), exact; the
+    atom e_0 of a zero class gives C(n_0, 1) = n_0."""
     _check_pair(plan, normal_solutions)
-    total = plan.class_sizes.get(0, 0)
-    if normal_solutions is not None:
-        for y in normal_solutions.solutions:
-            prod = 1
-            for r, yr in zip(plan.support, y):
-                prod *= binomial(plan.class_sizes[r] + yr - 1, yr)
-            total += prod
-    return total
+    sizes = [plan.class_sizes[r] for r in plan.support]
+    return sum(
+        prod(binomial(n + yr - 1, yr) for n, yr in zip(sizes, y))
+        for y in normal_solutions.solutions
+    )
 
 
 def general_support_bounds_check(coords, inst: CongruenceInstance):

@@ -30,6 +30,9 @@ class IndexSet:
 
     def __post_init__(self):
         elems = check_letters(self.modulus, self.elements, "set")
+        if 0 in elems:
+            # 0 is a letter of a normal form, but not an index
+            raise DomainError("set elements must lie in (0, m)")
         object.__setattr__(self, "elements", elems)
 
     @property

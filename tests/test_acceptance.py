@@ -82,11 +82,7 @@ def test_criterion_3_oracle_equivalence():
         n = rng.randint(1, 4)
         coeffs = tuple(rng.randint(0, m - 1) for _ in range(n))
         plan = build_plan(CongruenceInstance(m, coeffs))
-        normal = (
-            enumerate_normal_form(NormalForm(m, plan.support))
-            if plan.support
-            else None
-        )
+        normal = enumerate_normal_form(NormalForm(m, plan.support))
         lifted = sorted(lift_solutions(plan, normal))
         direct = sorted(naive_minimal_solutions(m, coeffs))
         if lifted != direct:

@@ -381,6 +381,20 @@ def test_support_order_is_canonical(tmp_path, capsys):
     )
     assert hit == full
     assert sorted(os.listdir(cache)) == ["enum-m7-J1-3.json", "enum-m7.json"]
+    # 0..m-2 has m - 1 letters too, but it is not the standard alphabet:
+    # it has a file of its own and never reads or writes the standard one
+    run_cli(["enumerate", "5", "--cache", cache], capsys)
+    standard = (tmp_path / "cache" / "enum-m5.json").read_bytes()
+    _, direct, _ = run_cli(["enumerate", "5", "--support", "0,1,2,3"], capsys)
+    for run in ("cold", "hit"):
+        _, out, _ = run_cli(
+            ["enumerate", "5", "--support", "0,1,2,3", "--cache", cache], capsys
+        )
+        assert out == direct and len(out.splitlines()) == 9, run
+    assert (tmp_path / "cache" / "enum-m5.json").read_bytes() == standard
+    assert sorted(os.listdir(cache)) == [
+        "enum-m5-J0-1-2-3.json", "enum-m5.json", "enum-m7-J1-3.json", "enum-m7.json",
+    ]
 
 
 def test_unusable_cache_path_is_a_domain_error(tmp_path, capsys):
@@ -454,7 +468,7 @@ def test_repeated_letter_is_named(capsys):
         assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("support", ["1,1", "0", "5", ""])
+@pytest.mark.parametrize("support", ["1,1", "-1", "5", ""])
 def test_bad_support_is_one_error_on_every_path(capsys, support):
     errors = set()
     for extra in ([], ["--count-only"], ["--naive"]):
@@ -470,12 +484,12 @@ def test_bad_support_is_one_error_on_every_path(capsys, support):
 def test_bad_support_never_reads_the_cache(tmp_path, capsys):
     from congruence_atoms.cli import _cache_store
 
-    # a well-formed file for the letter set {0}, which no path accepts
+    # a well-formed file for the letter set {5}, which no path accepts
     cache = str(tmp_path / "cache")
-    _cache_store(cache, 5, (0,), [(5,)])
-    assert os.listdir(cache) == ["enum-m5-J0.json"]
+    _cache_store(cache, 5, (5,), [(1,)])
+    assert os.listdir(cache) == ["enum-m5-J5.json"]
     code, out, err = run_cli(
-        ["enumerate", "5", "--support", "0", "--cache", cache], capsys
+        ["enumerate", "5", "--support", "5", "--cache", cache], capsys
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -515,6 +529,7 @@ def _golden_cases():
         enumerate_normal_form,
         enumerate_standard,
         lift_solutions,
+        naive_minimal_solutions,
     )
 
     yield (["enumerate", "9"], range(1, 9), enumerate_standard(9).solutions)
@@ -531,6 +546,11 @@ def _golden_cases():
         coeffs,
         list(lift_solutions(plan, normal)),
     )
+    # letter 0 is an ordinary letter: with 0 in J, enumerate prints the
+    # records that solve prints for the coefficients J
+    expected = sorted(naive_minimal_solutions(7, (0, 3, 5)))
+    yield (["enumerate", "7", "--support", "5,0,3"], (0, 3, 5), expected)
+    yield (["solve", "--modulus", "7", "--coeffs", "0,3,5"], (0, 3, 5), expected)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -559,7 +579,9 @@ def test_cached_records_match_the_reference_formatting(tmp_path, capsys, fmt):
             code, out, _ = run_cli(argv + ["--format", fmt, "--cache", cache], capsys)
             assert code == 0
             assert out == expected, (argv, run)
-    assert sorted(os.listdir(cache)) == ["enum-m11-J2-5-7.json", "enum-m9.json"]
+    assert sorted(os.listdir(cache)) == [
+        "enum-m11-J2-5-7.json", "enum-m7-J0-3-5.json", "enum-m9.json",
+    ]
 
 
 def test_solve_count_only(capsys):
@@ -742,13 +764,19 @@ def test_walk_past_the_recursion_limit_is_a_budget_refusal(capsys, argv):
         ["enumerate", str(2**63), "--support", str(2**62)],
         ["enumerate", str(2**64 + 1), "--count-only"],
         ["enumerate", str(2**64 + 1), "--naive"],
+        ["enumerate", str(10**20), "--support", "1", "--count-only"],
+        ["solve", "--modulus", str(10**20), "--coeffs", "1,2", "--count-only"],
     ],
-    ids=["count-only", "solve", "enumerate", "standard-count-only", "standard-naive"],
+    ids=[
+        "count-only", "solve", "enumerate", "standard-count-only", "standard-naive",
+        "count-only-1e20", "solve-1e20",
+    ],
 )
 def test_huge_modulus_is_a_budget_refusal(capsys, argv):
     # an m-bit closure mask with m >= 2**63 fails before any memory is
-    # taken; no table of the walk has m entries; and the alphabet
-    # 1..m-1 at m = 2**64 + 1 has more letters than a tuple can hold
+    # taken: a MemoryError at 2**64 + 1, an OverflowError at 10**20; no
+    # table of the walk has m entries; and the alphabet 1..m-1 at
+    # m = 2**64 + 1 has more letters than a tuple can hold
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
@@ -926,6 +954,38 @@ def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch):
         code = main(["verify", "--suite", "tables", "--m-max", "5"])
     assert code == 1
     assert "failed=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_stream_closed_at_start_up(capsys, monkeypatch, stream):
+    # a stream closed before the interpreter starts is None in sys: what
+    # would go to it is dropped, never written to the other stream, and
+    # the exit code stands
+    monkeypatch.setattr(sys, stream, None)
+    assert main(["enumerate", "5", "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    if stream == "stdout":
+        assert out == "" and err.startswith("m=5 count=14 ")
+    else:
+        # the csv header and 14 records, without the summary
+        assert len(out.splitlines()) == 15 and err == ""
+    assert main(["enumerate", "5", "--support", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = "error: support elements must lie in [0, m)\n"
+    assert err == (message if stream == "stdout" else "")
+
+
+def test_closed_stdout_at_start_up_is_not_an_error():
+    # `enumerate 23 >&-`: fd 1 is closed when the interpreter starts
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_atoms.cli", "enumerate", "23"],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("m=23 count=29161 ")
 
 
 def test_usage_error_exit_code():

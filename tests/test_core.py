@@ -134,12 +134,14 @@ def test_congruence_instance_normalization():
 def test_normal_form_validation():
     nf = NormalForm(6, (2, 3))
     assert nf.support == (2, 3)
+    # letter 0 is an ordinary letter
+    assert NormalForm(6, (0, 2)).support == (0, 2)
     with pytest.raises(DomainError):
         NormalForm(6, ())
     with pytest.raises(DomainError):
         NormalForm(6, (3, 2))
     with pytest.raises(DomainError):
-        NormalForm(6, (0, 2))
+        NormalForm(6, (-1, 2))
     with pytest.raises(DomainError):
         NormalForm(6, (2, 6))
 

@@ -60,7 +60,7 @@ def test_domain_errors():
         enumerate_naive(1)
     # NormalForm is the one check of a letter set: the counter and the
     # oracle refuse what it refuses, with its message
-    for m, letters in ((1, ()), (5, (1, 1)), (5, (0, 2)), (5, (2, 5)), (5, (2, 1))):
+    for m, letters in ((1, ()), (5, (1, 1)), (5, (-1, 2)), (5, (2, 5)), (5, (2, 1))):
         with pytest.raises(DomainError) as expected:
             NormalForm(m, letters)
         for refuse in (count_letters, enumerate_naive):
@@ -156,7 +156,8 @@ def test_normal_form_equals_tau_filter(standard_enumerations):
 
 
 def test_normal_form_matches_naive():
-    for m, J in ((6, (2, 3)), (8, (1, 4, 6)), (7, (2, 5))):
+    # the last two have letter 0, whose one atom is e_0
+    for m, J in ((6, (2, 3)), (8, (1, 4, 6)), (7, (2, 5)), (6, (0, 2, 3)), (5, (0,))):
         assert (
             enumerate_normal_form(NormalForm(m, J)).solutions
             == enumerate_naive(m, J).solutions
@@ -167,7 +168,7 @@ def test_counter_matches_engine_on_random_normal_forms():
     rng = random.Random(20170)
     for _ in range(300):
         m = rng.randint(2, 18)
-        J = tuple(sorted(rng.sample(range(1, m), rng.randint(1, m - 1))))
+        J = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
         expected = enumerate_normal_form(NormalForm(m, J)).count
         assert count_letters(m, J) == expected, (m, J)
 
@@ -177,7 +178,7 @@ def test_counter_matches_engine_on_random_normal_forms():
 def test_normal_form_matches_naive_property(data):
     m = data.draw(st.integers(min_value=2, max_value=10))
     J = data.draw(
-        st.sets(st.integers(min_value=1, max_value=m - 1), min_size=1).map(
+        st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1).map(
             lambda s: tuple(sorted(s))
         )
     )

@@ -22,8 +22,6 @@ from congruence_atoms.core import compositions
 
 
 def normal_for(plan):
-    if not plan.support:
-        return None
     return enumerate_normal_form(NormalForm(plan.modulus, plan.support))
 
 
@@ -40,7 +38,7 @@ def test_build_plan_examples():
     plan = build_plan(CongruenceInstance(6, (0, 3, 3)))
     assert plan.class_sizes[0] == 1
     assert plan.class_sizes[3] == 2
-    assert plan.support == (3,)
+    assert plan.support == (0, 3)
     assert plan.index_classes[0] == (0,)
     assert plan.index_classes[3] == (1, 2)
 
@@ -56,12 +54,12 @@ def test_build_plan_keeps_only_the_non_empty_classes():
     plan = build_plan(CongruenceInstance(9, (5, 2, 14, 0)))
     assert list(plan.class_sizes.items()) == [(0, 1), (2, 1), (5, 2)]
     assert list(plan.index_classes.items()) == [(0, (3,)), (2, (1,)), (5, (0, 2))]
-    assert plan.support == (2, 5)
+    assert plan.support == (0, 2, 5)
     # the plan's size follows the coefficients, not the modulus
     plan = build_plan(CongruenceInstance(10**6, (1, 0)))
     assert plan.class_sizes == {0: 1, 1: 1}
     assert plan.index_classes == {0: (1,), 1: (0,)}
-    assert plan.support == (1,)
+    assert plan.support == (0, 1)
 
 
 def test_lift_examples():
@@ -82,8 +80,12 @@ def test_lift_examples():
 def test_count_formula_examples():
     plan = build_plan(CongruenceInstance(2, (1, 1)))
     assert count_general(plan, normal_for(plan)) == 3
+    # the zero class's atom e_0 gives C(n_0, 1) = n_0
     plan = build_plan(CongruenceInstance(4, (0, 0)))
-    assert count_general(plan, None) == 2
+    assert count_general(plan, normal_for(plan)) == 2
+    # n_0 = 3 from e_0, and C(2 + 2 - 1, 2) = 3 from y = (0, 2)
+    plan = build_plan(CongruenceInstance(6, (0, 3, 0, 3, 0)))
+    assert count_general(plan, normal_for(plan)) == 3 + 3
 
 
 def test_mismatched_support_rejected():
@@ -93,7 +95,7 @@ def test_mismatched_support_rejected():
     with pytest.raises(DomainError):
         lift_solutions(plan, wrong)
     with pytest.raises(DomainError):
-        lift_solutions(plan, None)
+        lift_solutions(plan, enumerate_normal_form(NormalForm(7, (2, 3))))
 
 
 def test_lift_round_trip_small_instances():
@@ -152,12 +154,18 @@ def test_general_support_bounds_hold_on_lifts():
 
 def reference_lift(plan, normal):
     """The lift built whole: every unit row of the zero class, then per
-    atom the product of the composition tables of its classes, sorted."""
+    atom other than e_0 the product of the composition tables of its
+    classes, sorted.  The lift itself has no rule of its own for the zero
+    class: e_0 lifts to its unit rows like any atom to its rows."""
     n = sum(plan.class_sizes.values())
     rows = [
         tuple(int(i == j) for j in range(n)) for i in plan.index_classes.get(0, ())
     ]
-    for y in normal.solutions if normal is not None else ():
+    for y in normal.solutions:
+        if plan.support[0] == 0 and y[0]:
+            # e_0, the one atom with letter 0
+            assert y == (1,) + (0,) * (len(y) - 1), y
+            continue
         tables = [
             list(compositions(yr, plan.class_sizes[r]))
             for r, yr in zip(plan.support, y)
@@ -224,12 +232,9 @@ def test_lift_equals_the_sorted_reference(bucket_rows, monkeypatch):
 
 
 def atom_of(plan, row):
-    """The tag that the row's atom has: 0 for a unit row of the zero
-    class, else one more than the index in the normal solutions of the
-    atom given back by the row's class sums."""
-    if any(row[i] for i in plan.index_classes.get(0, ())):
-        assert sum(row) == 1, row
-        return 0
+    """The tag that the row's atom has: one more than the index in the
+    normal solutions of the atom given back by the row's class sums; a
+    unit row of the zero class gives back e_0."""
     y = tuple(sum(row[i] for i in plan.index_classes[r]) for r in plan.support)
     return normal_cached(plan).solutions.index(y) + 1
 
@@ -250,14 +255,15 @@ def test_tagged_lift_tags_each_row_with_its_atom(bucket_rows, monkeypatch):
 
 
 def test_tagged_lift_with_a_two_byte_tag():
-    # 0..10 mod 11: the unit row e_0 and one row per atom over 1..10,
-    # past 255 atoms, so a tag needs two bytes
+    # 0..10 mod 11: one row per atom over 0..10, e_0 included, past 255
+    # atoms, so a tag needs two bytes; the tags run 1..K
     plan = build_plan(CongruenceInstance(11, tuple(range(11))))
     normal = normal_cached(plan)
     assert len(normal.solutions) > 255
     tagged = list(lift_solutions(plan, normal, tagged=True))
     assert [row[:-1] for row in tagged] == reference_lift(plan, normal)
-    assert sorted(row[-1] for row in tagged) == list(range(len(normal.solutions) + 1))
+    tags = sorted(row[-1] for row in tagged)
+    assert tags == list(range(1, len(normal.solutions) + 1))
     assert all(row[-1] == atom_of(plan, row[:-1]) for row in tagged)
 
 

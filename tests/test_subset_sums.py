@@ -49,7 +49,8 @@ def test_diversity_budget():
 
 
 def test_index_set_validation():
-    with pytest.raises(DomainError):
+    # 0 is a letter of a normal form, but never an index
+    with pytest.raises(DomainError, match=r"^set elements must lie in \(0, m\)$"):
         IndexSet(6, (0, 2))
     with pytest.raises(DomainError):
         IndexSet(6, (2, 2))
