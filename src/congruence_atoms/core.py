@@ -20,10 +20,6 @@ class DomainError(ValueError):
 class BudgetExceeded(RuntimeError):
     """An exhaustive scan would exceed its budget."""
 
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
-
 
 def closure_step(mask, t, m):
     """Add the letter t (0 <= t < m) to a multiset whose non-empty

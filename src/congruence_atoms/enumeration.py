@@ -71,8 +71,8 @@ def _walk_tables(m, letters):
     """The steps of the closing-letter walk over the distinct letters in
     [0, m), per next letter index p: the triples (j, a, back) with j >= p
     and back = -a mod m.  Letter a closes a multiset whose sum is back;
-    otherwise it extends one whose mask has bit back clear.  No table
-    grows with m."""
+    otherwise it extends one whose mask has bit back clear.  The tables
+    hold |J|(|J|+1)/2 slots for |J| letters: about m**2/2 for 1..m-1."""
     steps = [(j, a, -a % m) for j, a in enumerate(letters)]
     return [steps[p:] for p in range(len(steps) + 1)]
 
@@ -202,8 +202,7 @@ def naive_minimal_solutions(m, weights):
     points = math.comb(m + k, k)
     if points > POINT_BUDGET:
         raise BudgetExceeded(
-            f"simplex scan needs {points} points, budget is {POINT_BUDGET}",
-            required=points,
+            f"simplex scan needs {points} points, budget is {POINT_BUDGET}"
         )
     solutions = []
     # the points x of N^k with |x|_1 <= m, lexicographic: the last part

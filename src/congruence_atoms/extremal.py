@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainError, euler_phi
-from .enumeration import enumerate_standard, is_indecomposable
+from .enumeration import is_indecomposable
 
 # the two extra extremal solutions that exist only at m = 6
 M6_EXCEPTIONS = ((0, 2, 1, 0, 1), (1, 0, 1, 2, 0))
@@ -81,15 +81,14 @@ def extremal_filter(solutions, m):
     return tuple(x for x in solutions if sum(x) + len(x) - x.count(0) == m + 1)
 
 
-def verify_extremal(m, result=None):
-    """Check the classification against the enumeration engine.
+def verify_extremal(m, result):
+    """Check the classification against `result`, the enumeration of
+    the standard congruence mod m.
 
     Filters the full solution set for total size m + 1 and compares with
     extremal_all(m); also checks width <= 3 and (for m >= 4) the unique
     coordinate >= 2.  Raises AssertionError on any mismatch, also under -O.
     """
-    if result is None:
-        result = enumerate_standard(m)
     filtered = extremal_filter(result.solutions, m)
     constructed = sorted(s.vector for s in extremal_all(m))
     if sorted(filtered) != constructed:

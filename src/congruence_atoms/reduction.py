@@ -39,23 +39,24 @@ from .enumeration import EnumerationResult
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """The residue classes of an instance.  Both mappings hold only the
-    non-empty classes, keyed by residue in increasing order, so a plan's
-    size does not grow with the modulus."""
+    """The residue classes of an instance.  `index_classes` holds only
+    the non-empty classes, keyed by residue in increasing order, so a
+    plan's size does not grow with the modulus; n_r is len(I_r)."""
 
     modulus: int
-    class_sizes: dict     # r -> n_r > 0
     index_classes: dict   # r -> I_r, a tuple of 0-based original indices
-    support: tuple        # J = sorted {r : n_r > 0}, 0 included
+
+    @property
+    def support(self):
+        """J = sorted {r : I_r non-empty}, 0 included."""
+        return tuple(self.index_classes)
 
 
 def build_plan(inst: CongruenceInstance) -> ReductionPlan:
     classes = {}
     for i, a in enumerate(inst.coefficients):
         classes.setdefault(a, []).append(i)
-    index_classes = {r: tuple(classes[r]) for r in sorted(classes)}
-    sizes = {r: len(idxs) for r, idxs in index_classes.items()}
-    return ReductionPlan(inst.modulus, sizes, index_classes, tuple(index_classes))
+    return ReductionPlan(inst.modulus, {r: tuple(classes[r]) for r in sorted(classes)})
 
 
 class _Tables(dict):
@@ -197,7 +198,7 @@ def _buckets(plan, solutions, width, tagged):
     # of the support; the tag comes last
     classes = list(plan.index_classes.values())
     atoms = [y + (k,) for k, y in enumerate(solutions, 1)]
-    n = sum(plan.class_sizes.values())
+    n = sum(map(len, classes))
     slot = [0] * n
     last = [False] * n
     for s, idxs in enumerate(classes):
@@ -234,7 +235,7 @@ def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult):
     """N_m(a) = sum over y of prod_r C(n_r + y_r - 1, y_r), exact; the
     atom e_0 of a zero class gives C(n_0, 1) = n_0."""
     _check_pair(plan, normal_solutions)
-    sizes = [plan.class_sizes[r] for r in plan.support]
+    sizes = [len(idxs) for idxs in plan.index_classes.values()]
     return sum(
         prod(binomial(n + yr - 1, yr) for n, yr in zip(sizes, y))
         for y in normal_solutions.solutions

@@ -42,7 +42,6 @@ class IndexSet:
 
 @dataclass(frozen=True)
 class DiversityReport:
-    index_set: IndexSet
     admissible: bool
     diversity: int
     classes: tuple          # sorted attained residues, 0 always present
@@ -52,10 +51,7 @@ class DiversityReport:
 def diversity(T: IndexSet) -> DiversityReport:
     """Full 2^r subset scan."""
     if T.size > SUBSET_SCAN_MAX_SIZE:
-        raise BudgetExceeded(
-            f"subset scan limited to {SUBSET_SCAN_MAX_SIZE} elements",
-            required=2**T.size,
-        )
+        raise BudgetExceeded(f"subset scan limited to {SUBSET_SCAN_MAX_SIZE} elements")
     m = T.modulus
     classes = {0}
     witness = None
@@ -66,7 +62,6 @@ def diversity(T: IndexSet) -> DiversityReport:
             if s == 0 and witness is None:
                 witness = subset
     return DiversityReport(
-        index_set=T,
         admissible=witness is None,
         diversity=len(classes),
         classes=tuple(sorted(classes)),

@@ -36,28 +36,23 @@ def lifted_set(m, coeffs):
 
 def test_build_plan_examples():
     plan = build_plan(CongruenceInstance(6, (0, 3, 3)))
-    assert plan.class_sizes[0] == 1
-    assert plan.class_sizes[3] == 2
+    assert plan.index_classes == {0: (0,), 3: (1, 2)}
     assert plan.support == (0, 3)
-    assert plan.index_classes[0] == (0,)
-    assert plan.index_classes[3] == (1, 2)
 
     plan = build_plan(CongruenceInstance(2, (1, 1)))
-    assert plan.class_sizes[1] == 2 and plan.support == (1,)
+    assert plan.index_classes == {1: (0, 1)} and plan.support == (1,)
 
     plan = build_plan(CongruenceInstance(5, (7, 2)))
-    assert plan.class_sizes[2] == 2 and plan.support == (2,)
+    assert plan.index_classes == {2: (0, 1)} and plan.support == (2,)
 
 
 def test_build_plan_keeps_only_the_non_empty_classes():
     # keyed by residue in increasing order, whatever the coefficient order
     plan = build_plan(CongruenceInstance(9, (5, 2, 14, 0)))
-    assert list(plan.class_sizes.items()) == [(0, 1), (2, 1), (5, 2)]
     assert list(plan.index_classes.items()) == [(0, (3,)), (2, (1,)), (5, (0, 2))]
     assert plan.support == (0, 2, 5)
     # the plan's size follows the coefficients, not the modulus
     plan = build_plan(CongruenceInstance(10**6, (1, 0)))
-    assert plan.class_sizes == {0: 1, 1: 1}
     assert plan.index_classes == {0: (1,), 1: (0,)}
     assert plan.support == (0, 1)
 
@@ -157,7 +152,7 @@ def reference_lift(plan, normal):
     atom other than e_0 the product of the composition tables of its
     classes, sorted.  The lift itself has no rule of its own for the zero
     class: e_0 lifts to its unit rows like any atom to its rows."""
-    n = sum(plan.class_sizes.values())
+    n = sum(map(len, plan.index_classes.values()))
     rows = [
         tuple(int(i == j) for j in range(n)) for i in plan.index_classes.get(0, ())
     ]
@@ -167,7 +162,7 @@ def reference_lift(plan, normal):
             assert y == (1,) + (0,) * (len(y) - 1), y
             continue
         tables = [
-            list(compositions(yr, plan.class_sizes[r]))
+            list(compositions(yr, len(plan.index_classes[r])))
             for r, yr in zip(plan.support, y)
         ]
         for combo in product(*tables):
@@ -231,6 +226,20 @@ def test_lift_equals_the_sorted_reference(bucket_rows, monkeypatch):
         assert list(lift_solutions(plan, normal)) == expected, plan
 
 
+def test_plan_support_and_count_follow_the_classes():
+    # the plan stores only its classes: the support is their residues in
+    # increasing order, and n_r is the length of class r
+    plans = equality_instances(400, 400)
+    assert any(0 in plan.index_classes for plan in plans)
+    assert any(0 not in plan.index_classes for plan in plans)
+    for plan in plans:
+        assert plan.support == tuple(plan.index_classes), plan
+        assert list(plan.support) == sorted(plan.support), plan
+        normal = normal_cached(plan)
+        rows = sum(1 for _ in lift_solutions(plan, normal))
+        assert count_general(plan, normal) == rows, plan
+
+
 def atom_of(plan, row):
     """The tag that the row's atom has: one more than the index in the
     normal solutions of the atom given back by the row's class sums; a
@@ -244,8 +253,8 @@ def test_tagged_lift_tags_each_row_with_its_atom(bucket_rows, monkeypatch):
     if bucket_rows is not None:
         monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
     plans = equality_instances(400, 400)
-    assert any(0 in plan.class_sizes for plan in plans)
-    assert any(0 not in plan.class_sizes for plan in plans)
+    assert any(0 in plan.index_classes for plan in plans)
+    assert any(0 not in plan.index_classes for plan in plans)
     for plan in plans:
         normal = normal_cached(plan)
         tagged = list(lift_solutions(plan, normal, tagged=True))
