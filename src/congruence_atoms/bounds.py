@@ -129,34 +129,40 @@ class BoundsRow:
     ell_source: str   # "enumerated", "reference" or "unknown"
 
 
-def table2(m_min, m_max, with_enumeration=False):
-    """Comparison rows: the solution count against its bounds.
+def bounds_row(m, with_enumeration=False):
+    """The comparison row of m: the solution count against its bounds.
 
     With with_enumeration, ell comes from the exhaustive closing-letter
     search, counted by count_letters without building the atoms."""
+    if with_enumeration:
+        ell = count_letters(m, range(1, m))
+        source = "enumerated"
+    elif m in tables.ELL:
+        ell = tables.ELL[m]
+        source = "reference"
+    else:
+        ell = None
+        source = "unknown"
+    return BoundsRow(
+        m=m,
+        ell=ell,
+        q=bound_q(m),
+        r=bound_r(m),
+        m_times_p=m * partition_count(m),
+        log2_ell=log2_rounded(ell) if ell else None,
+        ell_source=source,
+    )
+
+
+def table2_rows(m_min, m_max, with_enumeration=False):
+    """The rows m_min..m_max, each made as it is read; the range is
+    checked at once.  A row costs about m**2.5 (bound_r's precision grows
+    with m), so a reader can print each one before the next is made."""
     if not 4 <= m_min <= m_max:
         raise DomainError("need 4 <= m_min <= m_max")
+    return (bounds_row(m, with_enumeration) for m in range(m_min, m_max + 1))
 
-    rows = []
-    for m in range(m_min, m_max + 1):
-        if with_enumeration:
-            ell = count_letters(m, range(1, m))
-            source = "enumerated"
-        elif m in tables.ELL:
-            ell = tables.ELL[m]
-            source = "reference"
-        else:
-            ell = None
-            source = "unknown"
-        rows.append(
-            BoundsRow(
-                m=m,
-                ell=ell,
-                q=bound_q(m),
-                r=bound_r(m),
-                m_times_p=m * partition_count(m),
-                log2_ell=log2_rounded(ell) if ell else None,
-                ell_source=source,
-            )
-        )
-    return tuple(rows)
+
+def table2(m_min, m_max, with_enumeration=False):
+    """The comparison rows m_min..m_max, all made before it returns."""
+    return tuple(table2_rows(m_min, m_max, with_enumeration))

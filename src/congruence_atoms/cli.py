@@ -21,7 +21,7 @@ from itertools import islice, starmap
 from struct import Struct
 
 from . import tables
-from .bounds import bound_q, bound_r, partition_count, table2
+from .bounds import bound_q, bound_r, partition_count, table2_rows
 from .core import (
     DIGIT_CODES,
     BudgetExceeded,
@@ -169,11 +169,9 @@ def _emit_summary(m, count, elapsed_ms, fmt, err):
     print(line, file=err)
 
 
-def _cache_key(m, letters):
+def _cache_key(nf):
     """The J of a cache file's name and header: None for 1..m-1."""
-    # 1..m-1 is the only strictly increasing run of m - 1 letters in [0, m)
-    # that does not start at 0
-    return None if len(letters) == m - 1 and letters[0] else list(letters)
+    return None if nf.is_standard else list(nf.support)
 
 
 def _cache_path(directory, m, J):
@@ -192,14 +190,15 @@ def _cache_row(m, letters):
     return None if width is None else Struct(f"<{len(letters)}{DIGIT_CODES[width]}")
 
 
-def _cache_load(directory, m, letters):
-    """An iterator over the cached solutions' tuples, or None on a miss.
-    The whole file is read and checked first: a missing, unreadable,
-    malformed or stale file is a miss."""
-    row = _cache_row(m, letters)
+def _cache_load(directory, nf):
+    """An iterator over the cached solutions' tuples over the alphabet
+    `nf`, or None on a miss.  The whole file is read and checked first: a
+    missing, unreadable, malformed or stale file is a miss."""
+    m = nf.modulus
+    row = _cache_row(m, nf.support)
     if row is None:
         return None
-    J = _cache_key(m, letters)
+    J = _cache_key(nf)
     try:
         with open(_cache_path(directory, m, J), "rb") as fh:
             data = json.loads(fh.read())
@@ -232,15 +231,16 @@ def _cache_load(directory, m, letters):
     return None if bad else row.iter_unpack(raw)
 
 
-def _cache_store(directory, m, letters, solutions):
-    """Write the solutions as a JSON header and a base64 block of their
-    coordinates, row-major and little-endian.  A modulus too large for
-    every digit width is not cached."""
-    row = _cache_row(m, letters)
+def _cache_store(directory, nf, solutions):
+    """Write the solutions over the alphabet `nf` as a JSON header and a
+    base64 block of their coordinates, row-major and little-endian.  A
+    modulus too large for every digit width is not cached."""
+    m = nf.modulus
+    row = _cache_row(m, nf.support)
     if row is None:
         return
     block = b"".join(starmap(row.pack, solutions))
-    J = _cache_key(m, letters)
+    J = _cache_key(nf)
     payload = {
         "version": CACHE_VERSION,
         "m": m,
@@ -291,11 +291,11 @@ def cmd_enumerate(args):
     if args.naive:
         solutions = enumerate_naive(m, letters).solutions
     else:
-        solutions = _cache_load(args.cache, m, letters) if args.cache else None
+        solutions = _cache_load(args.cache, nf) if args.cache else None
         if solutions is None:
             solutions = enumerate_normal_form(nf).solutions
             if args.cache:
-                _cache_store(args.cache, m, letters, solutions)
+                _cache_store(args.cache, nf, solutions)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     count = _emit_solutions(solutions, args.format, m, letters, out)
     _emit_summary(m, count, elapsed_ms, args.format, err)
@@ -361,14 +361,17 @@ def cmd_bounds(args):
             f"m_max {args.m_max} is past {top}, the largest m whose row is "
             f"sure to print under Python's {limit}-digit limit for an int"
         )
-    rows = table2(args.m_min, args.m_max, with_enumeration=args.live)
+    rows = table2_rows(args.m_min, args.m_max, with_enumeration=args.live)
     print("m,ell,log2_ell,q,r,m_times_p,ell_source", file=out)
+    # each row is printed as soon as it is made: a wide range shows its
+    # first rows long before its last ones are computed
     for row in rows:
         ell = "" if row.ell is None else row.ell
         log2 = "" if row.log2_ell is None else row.log2_ell
         print(
             f"{row.m},{ell},{log2},{row.q},{row.r},{row.m_times_p},{row.ell_source}",
             file=out,
+            flush=True,
         )
     return EXIT_OK
 

@@ -196,6 +196,12 @@ class NormalForm:
             raise BudgetExceeded(f"the alphabet 1..m-1 has {m - 1} letters") from None
         return cls(m, letters)
 
+    @property
+    def is_standard(self):
+        """True iff J is the whole alphabet 1..m-1: the one strictly
+        increasing run of m - 1 letters in [0, m) that starts at 1."""
+        return len(self.support) == self.modulus - 1 and self.support[0] == 1
+
     def __post_init__(self):
         J = check_letters(self.modulus, self.support, "support")
         if not J:

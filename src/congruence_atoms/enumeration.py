@@ -28,6 +28,7 @@ The naive simplex scan is kept as a fully independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -38,6 +39,7 @@ from .core import (
     check_vector,
     closure_step,
     compositions,
+    euler_phi,
 )
 
 ENGINE_FINGERPRINT = "closing-letter/2"
@@ -67,25 +69,37 @@ def _closure_mask(letters, counts, m):
     return mask
 
 
-def _walk_tables(m, letters):
+TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"
+
+
+def _walk_tables(m, letters, marked=(), width=0):
     """The steps of the closing-letter walk over the distinct letters in
-    [0, m), per next letter index p: the triples (j, a, back) with j >= p
-    and back = -a mod m.  Letter a closes a multiset whose sum is back;
-    otherwise it extends one whose mask has bit back clear.  The tables
-    hold |J|(|J|+1)/2 slots for |J| letters: about m**2/2 for 1..m-1."""
-    steps = [(j, a, -a % m) for j, a in enumerate(letters)]
-    return [steps[p:] for p in range(len(steps) + 1)]
+    [0, m), per next letter index p: the tuples (j, a, back, shift) with
+    j >= p and back = -a mod m.  Letter a closes a multiset whose sum is
+    back; otherwise it extends one whose mask has bit back clear.  shift
+    is `width` where a is in `marked` and new at p (j > p), else 0: the
+    entry j == p repeats the last letter added.  The tables hold |J|(|J|+1)/2
+    slots for |J| letters (about m**2/2 for 1..m-1), so a walk that is
+    certain to outrun the recursion limit is refused before they are
+    built: letter a has order m/gcd(a, m), and the walk reaches a**(order
+    - 1), which is zero-sum-free and order frames deep."""
+    limit = sys.getrecursionlimit()
+    if m > limit and any(m // math.gcd(a, m) > limit for a in letters):
+        raise BudgetExceeded(TOO_DEEP)
+    steps = [(j, a, -a % m, width if a in marked else 0) for j, a in enumerate(letters)]
+    return [[(j, a, back, 0)] + steps[j + 1:] for j, a, back, _ in steps] + [[]]
 
 
-def _walk(visit):
-    """Run a walk from the empty multiset.  The walks recurse once per
-    letter, so a long atom (at m of about 1000 and up) can outrun the
-    recursion limit; and the closure step's 1 << m is an OverflowError
-    past about m = 2**65 (a MemoryError, which the CLI refuses, below)."""
+def _walk(visit, pos=0, mask=0, total=0):
+    """Run a walk from the node (pos, mask, total), by default the empty
+    multiset.  The walks recurse once per letter, so a long atom (at m of
+    about 1000 and up) can outrun the recursion limit; and the closure
+    step's 1 << m is an OverflowError past about m = 2**65 (a MemoryError,
+    which the CLI refuses, below)."""
     try:
-        return visit(0, 0, 0)
+        return visit(pos, mask, total)
     except RecursionError:
-        reason = "the closing-letter walk is deeper than the recursion limit"
+        reason = TOO_DEEP
     except OverflowError:
         reason = "the closure mask has more bits than an int can hold"
     raise BudgetExceeded(reason)
@@ -102,7 +116,7 @@ def _enumerate_letters(m, letters):
         # the multiset in counts is zero-sum-free: bit 0 of mask is clear.
         # Closing is tested first: letter 0 (index 0, back 0) closes the
         # empty multiset into e_0, so it is never added to a multiset
-        for j, a, back in tails[pos]:
+        for j, a, back, _ in tails[pos]:
             if back == total:
                 counts[j] += 1
                 out.append(tuple(counts))
@@ -116,17 +130,19 @@ def _enumerate_letters(m, letters):
     return tuple(sorted(out))
 
 
-def count_letters(m, letters):
-    """Number of indecomposable solutions over the letters (strictly
-    increasing, in [0, m), checked by NormalForm), without building them.
-
-    The same closing-letter walk as _enumerate_letters, with the same two
-    branches per step, but returning the number of atoms below each node.
-    That number depends only on the next letter index, the closure mask
-    and the running sum mod m, so it is memoised on that state.
-    """
-    letters = NormalForm(m, letters).support
-    tails = _walk_tables(m, letters)
+def _count_walk(m, letters, marked=(), root=(0, 0, 0)):
+    """The closing-letter walk of _enumerate_letters from the node `root`
+    (pos, mask, total), by default the empty multiset.  It returns the
+    counts d_0, d_1, ... (no trailing 0) of the atoms below the root that
+    hold 0, 1, ... marked letters the root does not; with nothing marked,
+    [] or [the number of atoms].  A node's value, the int of 2m-bit digits
+    d_k, depends only on the next letter index, the closure mask and the
+    running sum mod m, so it is memoised on that state; an edge adds the
+    child's value shifted one digit up where its letter is marked and new.
+    A digit never overflows: every atom lies in the simplex |x|_1 <= m, so
+    there are fewer than C(2m - 1, m - 1) < 4**m of them."""
+    width = 2 * m
+    tails = _walk_tables(m, letters, marked, width)
     # one memo per next letter index; total < m, so mask * m + total
     # stands for the pair (mask, total)
     memos = [{} for _ in tails]
@@ -137,15 +153,54 @@ def count_letters(m, letters):
         n = memo.get(key)
         if n is None:
             n = 0
-            for j, a, back in tails[pos]:
+            for j, a, back, shift in tails[pos]:
                 if back == total:
-                    n += 1
+                    n += 1 << shift
                 elif not mask >> back & 1:
-                    n += visit(j, closure_step(mask, a, m), (total + a) % m)
+                    n += visit(j, closure_step(mask, a, m), (total + a) % m) << shift
             memo[key] = n
         return n
 
-    return _walk(visit)
+    value = _walk(visit, *root)
+    digits = []
+    while value:
+        digits.append(value & ((1 << width) - 1))
+        value >>= width
+    return digits
+
+
+def count_letters(m, letters):
+    """Number of indecomposable solutions over the letters (strictly
+    increasing, in [0, m), checked by NormalForm), without building them.
+
+    Over any alphabet but 1..m-1 this is _count_walk from the empty
+    multiset with nothing marked.  Over 1..m-1 it counts by unit orbits.
+    Multiplying every letter by a unit u of Z_m is an automorphism, so it
+    maps the atoms one-to-one onto the atoms, and it keeps u(S), the number
+    of distinct unit letters of S.  Give an atom with a unit letter the
+    weight 1/u(S) at each of its units: its weights sum to 1, and every
+    unit letter carries the same total as letter 1.  So
+
+        l(m) = phi(m) * sum over atoms S containing 1 of 1/u(S)
+               + the number of atoms with no unit letter.
+
+    The sum is one walk from the node "one copy of letter 1" with the
+    units marked: its K digits d_k count the atoms S containing 1 with
+    u(S) = k + 1, and the sum is taken exactly as sum d_k * L/(k + 1) over
+    L = lcm(1..K).  The last term is the unmarked walk over the non-units.
+    """
+    nf = NormalForm(m, letters)
+    if not nf.is_standard:
+        return sum(_count_walk(m, nf.support))
+    units = frozenset(a for a in nf.support if math.gcd(a, m) == 1)
+    digits = _count_walk(m, nf.support, units, (0, closure_step(0, 1, m), 1 % m))
+    common = math.lcm(*range(1, len(digits) + 1))
+    weighted = sum(d * (common // u) for u, d in enumerate(digits, 1))
+    with_units, remainder = divmod(euler_phi(m) * weighted, common)
+    if remainder:
+        raise ArithmeticError(f"the unit orbits of the atoms mod {m} do not divide")
+    nonunits = tuple(a for a in nf.support if a not in units)
+    return with_units + (sum(_count_walk(m, nonunits)) if nonunits else 0)
 
 
 def enumerate_standard(m):

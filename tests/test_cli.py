@@ -6,10 +6,12 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from congruence_atoms import NormalForm
 from congruence_atoms.cli import main
 
 
@@ -105,9 +107,9 @@ def test_cache_round_trip(tmp_path, capsys):
         original = fh.read()
     from congruence_atoms.cli import _cache_load, _cache_store
 
-    letters = tuple(range(1, 9))
-    solutions = _cache_load(cache, 9, letters)
-    _cache_store(cache, 9, letters, solutions)
+    nf = NormalForm.standard(9)
+    solutions = _cache_load(cache, nf)
+    _cache_store(cache, nf, solutions)
     with open(path, "rb") as fh:
         assert fh.read() == original
 
@@ -241,8 +243,9 @@ def test_uncacheable_moduli(tmp_path, capsys):
     # no digit width holds 2**64: such a modulus is never cached
     assert digit_width(2**64) is None
     cache = str(tmp_path / "cache")
-    _cache_store(cache, 2**64, (1,), [(2**64,)])
-    assert not os.path.exists(cache) and _cache_load(cache, 2**64, (1,)) is None
+    nf = NormalForm(2**64, (1,))
+    _cache_store(cache, nf, [(2**64,)])
+    assert not os.path.exists(cache) and _cache_load(cache, nf) is None
     # a well-formed file for m = 1 (no columns) is a miss, not a crash
     os.makedirs(cache)
     with open(os.path.join(cache, "enum-m1.json"), "w") as fh:
@@ -280,9 +283,9 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     from congruence_atoms.cli import _cache_load, _cache_store
 
     cache = str(tmp_path / "cache")
-    J = (1, m - 1)
+    nf = NormalForm(m, (1, m - 1))
     rows = [(0, m), (1, 1), (m, 0)]
-    _cache_store(cache, m, J, iter(rows))
+    _cache_store(cache, nf, iter(rows))
     path = os.path.join(cache, f"enum-m{m}-J1-{m - 1}.json")
     with open(path, "rb") as fh:
         whole = fh.read()
@@ -291,9 +294,9 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     # row-major, one little-endian item per coordinate
     block = base64.b64decode(data["solutions"])
     assert block == b"".join(struct.pack(code, c) for x in rows for c in x)
-    assert list(_cache_load(cache, m, J)) == rows
+    assert list(_cache_load(cache, nf)) == rows
     # re-storing what was loaded writes the same bytes
-    _cache_store(cache, m, J, _cache_load(cache, m, J))
+    _cache_store(cache, nf, _cache_load(cache, nf))
     with open(path, "rb") as fh:
         assert fh.read() == whole
     # a coordinate of m + 1 makes the file a miss: the last row (m, 0)
@@ -303,7 +306,7 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     data["solutions"] = base64.b64encode(bad).decode("ascii")
     with open(path, "w") as fh:
         json.dump(data, fh)
-    assert _cache_load(cache, m, J) is None
+    assert _cache_load(cache, nf) is None
 
 
 def test_wide_cache_round_trip(tmp_path, capsys):
@@ -328,7 +331,8 @@ def test_wide_cache_round_trip(tmp_path, capsys):
     assert base64.b64decode(data["solutions"]) == bytes(
         [0, 0, 44, 1, 1, 0, 1, 0, 44, 1, 0, 0]
     )
-    assert list(_cache_load(cache, 300, (1, 299))) == [(0, 300), (1, 1), (300, 0)]
+    rows = _cache_load(cache, NormalForm(300, (1, 299)))
+    assert list(rows) == [(0, 300), (1, 1), (300, 0)]
     for fmt in ("json", "csv", "text"):
         _, cold, _ = run_cli(
             ["enumerate", "300", "--support", "1,299", "--format", fmt], capsys
@@ -482,14 +486,24 @@ def test_bad_support_is_one_error_on_every_path(capsys, support):
 
 
 def test_bad_support_never_reads_the_cache(tmp_path, capsys):
-    from congruence_atoms.cli import _cache_store
+    from congruence_atoms.cli import CACHE_VERSION
+    from congruence_atoms.enumeration import ENGINE_FINGERPRINT
 
-    # a well-formed file for the letter set {5}, which no path accepts
-    cache = str(tmp_path / "cache")
-    _cache_store(cache, 5, (5,), [(1,)])
-    assert os.listdir(cache) == ["enum-m5-J5.json"]
+    # a well-formed file for the letter set {5}, which no path accepts;
+    # no NormalForm holds it, so _cache_store cannot write it
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    payload = {
+        "version": CACHE_VERSION,
+        "m": 5,
+        "J": [5],
+        "engine": ENGINE_FINGERPRINT,
+        "count": 1,
+        "solutions": base64.b64encode(bytes([1])).decode("ascii"),
+    }
+    (cache / "enum-m5-J5.json").write_text(json.dumps(payload) + "\n")
     code, out, err = run_cli(
-        ["enumerate", "5", "--support", "5", "--cache", cache], capsys
+        ["enumerate", "5", "--support", "5", "--cache", str(cache)], capsys
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -760,6 +774,29 @@ def test_bounds_past_the_int_printing_limit_is_a_budget_refusal(m_min, m_max):
     assert proc.stderr.startswith("budget exceeded: ")
 
 
+def test_bounds_prints_each_row_as_it_is_made():
+    # the rows up to m = 7143 take hours in all; the header and the m = 4
+    # row must come at once.  The timer kills a child that holds them back
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "congruence_atoms.cli", "bounds", "4", "7143"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+    )
+    timer = threading.Timer(15, proc.kill)
+    timer.start()
+    try:
+        header, first = proc.stdout.readline(), proc.stdout.readline()
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert header == "m,ell,log2_ell,q,r,m_times_p,ell_source\n"
+    assert first == "4,6,2.6,6,10,20,reference\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -780,6 +817,37 @@ def test_walk_past_the_recursion_limit_is_a_budget_refusal(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["enumerate", "100000", "--count-only"],
+        ["enumerate", "100000", "--support", "1,99999"],
+    ],
+    ids=["standard-count-only", "enumerate"],
+)
+def test_walk_that_cannot_finish_is_refused_before_its_tables(argv):
+    # letter 1 has order 100000, far past the recursion limit, and the
+    # step tables of 1..99999 would hold about 5 * 10**9 slots: the walk
+    # is refused before they are built, well inside a 1 GB address space
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_atoms.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=cap,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "budget exceeded: the closing-letter walk is deeper than the recursion limit\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["enumerate", str(2**64 + 1), "--support", "1", "--count-only"],
         ["solve", "--modulus", str(2**64 + 1), "--coeffs", "1,0"],
         ["enumerate", str(2**63), "--support", str(2**62)],
@@ -794,10 +862,11 @@ def test_walk_past_the_recursion_limit_is_a_budget_refusal(capsys, argv):
     ],
 )
 def test_huge_modulus_is_a_budget_refusal(capsys, argv):
-    # an m-bit closure mask with m >= 2**63 fails before any memory is
-    # taken: a MemoryError at 2**64 + 1, an OverflowError at 10**20; no
-    # table of the walk has m entries; and the alphabet 1..m-1 at
-    # m = 2**64 + 1 has more letters than a tuple can hold
+    # a walk holding letter 1 (order m) is refused before its tables are
+    # built; an m-bit closure mask with m >= 2**63 fails before any
+    # memory is taken (the letter 2**62 has order 2); no table of the
+    # walk has m entries; and the alphabet 1..m-1 at m = 2**64 + 1 has
+    # more letters than a tuple can hold
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""

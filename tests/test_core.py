@@ -146,6 +146,19 @@ def test_normal_form_validation():
         NormalForm(6, (2, 6))
 
 
+def test_normal_form_names_the_standard_alphabet():
+    # 1..m-1 is the one strictly increasing run of m - 1 letters in
+    # [0, m) that starts at 1; the counter and the cache key both read it
+    for m in range(2, 9):
+        assert NormalForm.standard(m).is_standard
+        assert NormalForm(m, range(1, m)).is_standard
+        assert not NormalForm(m, range(0, m - 1)).is_standard
+        assert not NormalForm(m, range(0, m)).is_standard
+        if m > 2:
+            assert not NormalForm(m, range(1, m - 1)).is_standard
+            assert not NormalForm(m, range(2, m)).is_standard
+
+
 def test_compositions_are_lexicographic_stars_and_bars():
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(3, 0)) == []

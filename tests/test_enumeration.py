@@ -22,6 +22,7 @@ from congruence_atoms import (
     solve_n1,
 )
 from congruence_atoms import tables
+from congruence_atoms.enumeration import _count_walk
 
 TABLE1 = {
     2: 1, 3: 3, 4: 6, 5: 14, 6: 19, 7: 47, 8: 64, 9: 118, 10: 165,
@@ -47,6 +48,27 @@ def test_counts_match_reference(standard_enumerations):
 def test_counter_matches_engine_past_the_table():
     for m in (24, 25):
         assert count_letters(m, range(1, m)) == enumerate_standard(m).count, m
+
+
+def test_orbit_count_matches_the_unmarked_walk_past_the_table():
+    # count_letters counts 1..m-1 by unit orbits; the same walk from the
+    # empty multiset with nothing marked counts every atom once
+    for m in range(24, 29):
+        letters = tuple(range(1, m))
+        assert count_letters(m, letters) == sum(_count_walk(m, letters)), m
+
+
+def test_counts_are_unit_invariant():
+    # multiplying every letter by a unit u of Z_m maps the atoms over J
+    # one-to-one onto the atoms over uJ: the symmetry the orbit count of
+    # 1..m-1 rests on, checked here on the unmarked walk
+    rng = random.Random(3096)
+    for _ in range(200):
+        m = rng.randint(2, 16)
+        J = sorted(rng.sample(range(m), rng.randint(1, m)))
+        u = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
+        image = sorted(u * a % m for a in J)
+        assert count_letters(m, J) == count_letters(m, image), (m, J, u)
 
 
 def test_m23_count(standard_enumerations):
