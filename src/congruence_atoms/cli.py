@@ -17,7 +17,7 @@ import operator
 import os
 import sys
 import time
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 from struct import Struct
 
 from . import tables
@@ -40,7 +40,7 @@ from .enumeration import (
     enumerate_standard,
 )
 from .extremal import extremal_all, extremal_filter, verify_extremal
-from .reduction import build_plan, count_general, lift_solutions
+from .reduction import build_plan, count_general, lift_blocks
 from .subset_sums import (
     IndexSet,
     diversity,
@@ -70,8 +70,7 @@ def _parse_int_list(text, what):
     return values
 
 
-# the decimal form of every coordinate up to 255; an atom's coordinates
-# are at most m, so only a modulus above 255 needs `_Decimal`
+# the decimal form of every coordinate up to 255: every one-byte digit
 _DIGITS = tuple(map(str, range(256)))
 
 
@@ -98,64 +97,98 @@ _TEMPLATES = {
 
 CSV_HEADER = "coords,length,width,weight,total_size"
 
-
-def _start_records(fmt, m, out):
-    """Write the csv header if any; return the record template and the
-    decimal forms of the coordinates 0..m."""
-    if fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-    return _TEMPLATES[fmt], _DIGITS if m < len(_DIGITS) else _Decimal()
+# a memo of the record writer starts over once it holds this many
+# entries, so that a streamed lift's memory stays bounded
+MEMO_ENTRIES = 1 << 14
 
 
-def _emit_solutions(solutions, fmt, m, letters, out):
-    """Write one record per row of coordinates, its fields computed from
-    the row and the column coefficients `letters`; return the number of
-    rows."""
-    (head, sep, tail), digits = _start_records(fmt, m, out)
-    write = out.write
-    count = 0
-    for count, coords in enumerate(solutions, 1):
-        length = sum(coords)
-        width = len(coords) - coords.count(0)
-        weight = sum(map(operator.mul, letters, coords))
-        write(
-            head
-            + sep.join([digits[c] for c in coords])
-            + tail % (length, width, weight, length + width)
+class _Memo(dict):
+    """The value of each key made by `make` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_ENTRIES:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+def _chunk_fields(unpack, lead, sep, letters, digits):
+    """The memo maker of one chunk position: a chunk's bytes to the text,
+    length, width and weight of its coordinates, whose columns have the
+    coefficients `letters`.  The text is `lead` and the coordinates
+    joined by `sep`, or "" for an empty chunk."""
+
+    def make(chunk):
+        coords = unpack(chunk)
+        if not coords:
+            return "", 0, 0, 0
+        return (
+            lead + sep.join([digits[c] for c in coords]),
+            sum(coords),
+            len(coords) - coords.count(0),
+            sum(map(operator.mul, letters, coords)),
         )
-    return count
+
+    return make
 
 
-def _emit_lifted(rows, fmt, plan, atoms, out):
-    """Write one record per row of `lift_solutions(plan, ..., tagged=True)`,
-    whose last item tags the atom it was lifted from (tag k for atoms[k-1]);
-    return the number of rows.  Every row lifted from atom y has length
-    sum_r y_r and weight sum_r r * y_r over the support, so only the
-    width is read from the row; the record tail is made once per
-    (tag, zeros)."""
-    (head, sep, tail), digits = _start_records(fmt, plan.modulus, out)
-    support = plan.support
-    n = sum(map(len, plan.index_classes.values()))
-    tails = {}
+class _RecordWriter:
+    """One record per packed row.  A row is n = len(letters) unsigned
+    digits of `width` bytes in the byte order `order` ("<" or ">"); one
+    struct splits it into three byte chunks at the digit cuts (0, n - 2k,
+    n - k, n), k = n // 3, so the first chunk is never empty.  Per chunk
+    position a memo maps the chunk's bytes to the text, length, width and
+    weight of its coordinates: chunk 0's text starts with the record
+    head, the others' with the separator.  One more memo maps (length,
+    width, weight) to the record tail.  Rows repeat their chunks, so a
+    row costs three memo hits, a few adds and a tail lookup."""
 
-    def make_tail(tag, zeros):
-        y = atoms[tag - 1]
-        length, weight = sum(y), sum(map(operator.mul, support, y))
-        width = n - zeros
-        text = tails[tag, zeros] = tail % (length, width, weight, length + width)
-        return text
+    def __init__(self, fmt, order, width, letters, out):
+        head, sep, tail = _TEMPLATES[fmt]
+        code = DIGIT_CODES[width]
+        # an atom's coordinates are at most m: past one byte, only the
+        # memos' misses take the decimal form
+        digits = _DIGITS if width == 1 else _Decimal()
+        n = len(letters)
+        k = n // 3
+        cuts = (0, n - 2 * k, n - k, n)
+        spans = list(zip(cuts, cuts[1:]))
+        self.split = Struct("".join(f"{(hi - lo) * width}s" for lo, hi in spans)).iter_unpack
+        self.chunks = [
+            _Memo(_chunk_fields(
+                Struct(f"{order}{hi - lo}{code}").unpack,
+                sep if p else head,
+                sep,
+                letters[lo:hi],
+                digits,
+            ))
+            for p, (lo, hi) in enumerate(spans)
+        ]
+        self.tails = _Memo(lambda key: tail % (*key, key[0] + key[1]))
+        self.out = out
+        if fmt == "csv":
+            out.write(CSV_HEADER + "\n")
 
-    write = out.write
-    count = 0
-    for count, row in enumerate(rows, 1):
-        coords = row[:n]
-        key = row[n], coords.count(0)
-        write(
-            head
-            + sep.join([digits[c] for c in coords])
-            + (tails.get(key) or make_tail(*key))
-        )
-    return count
+    def rows(self, blocks):
+        """The rows of the byte blocks, each as its three chunks."""
+        return chain.from_iterable(map(self.split, blocks))
+
+    def write(self, rows):
+        """Write the record of each row of `rows`; return their number."""
+        first, second, third = self.chunks
+        tails = self.tails
+        write = self.out.write
+        count = 0
+        for count, (a, b, c) in enumerate(rows, 1):
+            ta, la, wa, ga = first[a]
+            tb, lb, wb, gb = second[b]
+            tc, lc, wc, gc = third[c]
+            write(ta + tb + tc + tails[la + lb + lc, wa + wb + wc, ga + gb + gc])
+        return count
 
 
 def _emit_summary(m, count, elapsed_ms, fmt, err):
@@ -191,9 +224,10 @@ def _cache_row(m, letters):
 
 
 def _cache_load(directory, nf):
-    """An iterator over the cached solutions' tuples over the alphabet
-    `nf`, or None on a miss.  The whole file is read and checked first: a
-    missing, unreadable, malformed or stale file is a miss."""
+    """The block of the cached solutions over the alphabet `nf`, packed
+    rows as `_cache_row` packs them, or None on a miss.  The whole file
+    is read and checked first: a missing, unreadable, malformed or stale
+    file is a miss."""
     m = nf.modulus
     row = _cache_row(m, nf.support)
     if row is None:
@@ -228,18 +262,17 @@ def _cache_load(directory, nf):
         bad = raw.translate(None, bytes(range(m + 1)))
     else:
         bad = max(map(max, row.iter_unpack(raw)), default=0) > m
-    return None if bad else row.iter_unpack(raw)
+    return None if bad else raw
 
 
-def _cache_store(directory, nf, solutions):
-    """Write the solutions over the alphabet `nf` as a JSON header and a
-    base64 block of their coordinates, row-major and little-endian.  A
-    modulus too large for every digit width is not cached."""
+def _cache_store(directory, nf, block):
+    """Write the block of the solutions over the alphabet `nf`, packed
+    rows as `_cache_row` packs them, as a JSON header and a base64
+    string.  A modulus too large for every digit width is not cached."""
     m = nf.modulus
     row = _cache_row(m, nf.support)
     if row is None:
         return
-    block = b"".join(starmap(row.pack, solutions))
     J = _cache_key(nf)
     payload = {
         "version": CACHE_VERSION,
@@ -288,16 +321,21 @@ def cmd_enumerate(args):
         print(count_letters(m, letters), file=out)
         return EXIT_OK
     started = time.monotonic()
-    if args.naive:
-        solutions = enumerate_naive(m, letters).solutions
-    else:
-        solutions = _cache_load(args.cache, nf) if args.cache else None
-        if solutions is None:
+    block = _cache_load(args.cache, nf) if args.cache else None
+    if block is None:
+        # the engine and the oracle refuse every m past 2**63, so the
+        # rows are packed with the cache's struct, once, and that block
+        # is stored and printed
+        if args.naive:
+            solutions = enumerate_naive(m, letters).solutions
+        else:
             solutions = enumerate_normal_form(nf).solutions
-            if args.cache:
-                _cache_store(args.cache, nf, solutions)
+        block = b"".join(starmap(_cache_row(m, letters).pack, solutions))
+        if args.cache:
+            _cache_store(args.cache, nf, block)
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    count = _emit_solutions(solutions, args.format, m, letters, out)
+    writer = _RecordWriter(args.format, "<", digit_width(m), letters, out)
+    count = writer.write(writer.rows([block]))
     _emit_summary(m, count, elapsed_ms, args.format, err)
     return EXIT_OK
 
@@ -314,9 +352,12 @@ def cmd_solve(args):
         print(count_general(plan, normal), file=out)
         return EXIT_OK
     started = time.monotonic()
-    rows = lift_solutions(plan, normal, tagged=True)
+    width, blocks = lift_blocks(plan, normal)
+    # the weight is taken over the coefficients reduced mod m
+    writer = _RecordWriter(args.format, ">", width, inst.coefficients, out)
+    rows = writer.rows(blocks)
     shown = rows if args.max_rows is None else islice(rows, args.max_rows)
-    count = _emit_lifted(shown, args.format, plan, normal.solutions, out)
+    count = writer.write(shown)
     # islice stops before it takes row max_rows + 1, so a row left over
     # means the output was capped
     if next(rows, None) is not None:

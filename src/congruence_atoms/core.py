@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -29,6 +30,19 @@ def closure_step(mask, t, m):
     # {t} is rot({0}, t); the bits shifted past m - 1 wrap round to 0
     shifted = (mask | 1) << t
     return mask | (shifted & ((1 << m) - 1)) | (shifted >> m)
+
+
+TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"
+
+
+def refuse_deep_walk(m, letters):
+    """Refuse a closing-letter walk over the letters that is certain to
+    outrun the recursion limit: letter a has order m/gcd(a, m), and the
+    walk reaches a**(order - 1), which is zero-sum-free and order frames
+    deep.  It stops at the first such letter, so it can run on a range."""
+    limit = sys.getrecursionlimit()
+    if m > limit and any(m // math.gcd(a, m) > limit for a in letters):
+        raise BudgetExceeded(TOO_DEEP)
 
 
 # the digit widths of a packed row, in bytes, and their struct codes
@@ -189,12 +203,11 @@ class NormalForm:
 
     @classmethod
     def standard(cls, m):
-        """The whole alphabet J = 1..m-1."""
-        try:
-            letters = tuple(range(1, m))
-        except OverflowError:
-            raise BudgetExceeded(f"the alphabet 1..m-1 has {m - 1} letters") from None
-        return cls(m, letters)
+        """The whole alphabet J = 1..m-1.  Every walk over it holds letter
+        1, of order m, so past the recursion limit the alphabet is refused
+        before its m - 1 letters are built."""
+        refuse_deep_walk(m, range(1, m))
+        return cls(m, tuple(range(1, m)))
 
     @property
     def is_standard(self):

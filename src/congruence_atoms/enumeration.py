@@ -28,11 +28,11 @@ The naive simplex scan is kept as a fully independent oracle.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import product
 
 from .core import (
+    TOO_DEEP,
     BudgetExceeded,
     DomainError,
     NormalForm,
@@ -40,6 +40,7 @@ from .core import (
     closure_step,
     compositions,
     euler_phi,
+    refuse_deep_walk,
 )
 
 ENGINE_FINGERPRINT = "closing-letter/2"
@@ -69,9 +70,6 @@ def _closure_mask(letters, counts, m):
     return mask
 
 
-TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"
-
-
 def _walk_tables(m, letters, marked=(), width=0):
     """The steps of the closing-letter walk over the distinct letters in
     [0, m), per next letter index p: the tuples (j, a, back, shift) with
@@ -81,11 +79,8 @@ def _walk_tables(m, letters, marked=(), width=0):
     entry j == p repeats the last letter added.  The tables hold |J|(|J|+1)/2
     slots for |J| letters (about m**2/2 for 1..m-1), so a walk that is
     certain to outrun the recursion limit is refused before they are
-    built: letter a has order m/gcd(a, m), and the walk reaches a**(order
-    - 1), which is zero-sum-free and order frames deep."""
-    limit = sys.getrecursionlimit()
-    if m > limit and any(m // math.gcd(a, m) > limit for a in letters):
-        raise BudgetExceeded(TOO_DEEP)
+    built."""
+    refuse_deep_walk(m, letters)
     steps = [(j, a, -a % m, width if a in marked else 0) for j, a in enumerate(letters)]
     return [[(j, a, back, 0)] + steps[j + 1:] for j, a, back, _ in steps] + [[]]
 

@@ -9,13 +9,9 @@ streamed in lexicographic order by a walk over the index positions that
 builds and sorts one bounded bucket of rows at a time, so its memory
 does not grow with the number of rows.  While a row is built and sorted
 it is one int, each coordinate a digit of a fixed byte width, so numeric
-order is lexicographic order; a sorted bucket is decoded to tuples in
-one call.  One more, lowest digit of the int tags the row with the atom
-it was lifted from (k for the k-th normal solution).  Two atoms never
-lift to the same row, since a row's class sums give its atom back, so
-the tag leaves the order unchanged; it is skipped when a bucket is
-decoded, or kept as a last coordinate with `tagged=True`, so that a
-caller can compute what is constant per atom once per atom.
+order is lexicographic order; a sorted bucket becomes one block of
+big-endian packed rows, which `lift_solutions` decodes to tuples in one
+call and a record writer can read as it is.
 """
 
 from __future__ import annotations
@@ -89,11 +85,20 @@ def _check_pair(plan, normal_solutions):
 BUCKET_ROWS = 4096
 
 
-def lift_solutions(
-    plan: ReductionPlan, normal_solutions: EnumerationResult, *, tagged=False
-):
+def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult):
     """All indecomposable solutions of the general instance, lazily and
-    in lexicographic order.
+    in lexicographic order: the rows of `lift_blocks`, each block
+    decoded to tuples by one struct call."""
+    width, blocks = lift_blocks(plan, normal_solutions)
+    n = sum(map(len, plan.index_classes.values()))
+    decode = Struct(f">{n}{DIGIT_CODES[width]}").iter_unpack
+    return chain.from_iterable(map(decode, blocks))
+
+
+def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
+    """The lift as (w, blocks): an iterator over byte blocks of packed
+    rows, the rows sorted within a block and the blocks in order, each
+    row n big-endian unsigned digits of w bytes.
 
     The rows come from a depth-first walk over the original index
     positions, with an explicit stack.  A node of the walk is a packed
@@ -105,18 +110,14 @@ def lift_solutions(
     the atoms, the stream holds at most n sorted lists of them on the
     stack and one bucket of rows at a time, however many rows there are.
 
-    A row is the int T * sum of x_i * B^(n-1-i), plus its atom's tag,
-    while it is built and sorted, with B = 2^(8w) and w in {1, 2, 4, 8}
-    bytes the narrowest width above the largest atom entry (no lifted
-    coordinate is larger), and T = 2^(8t) with t the narrowest of the
-    same widths above the largest tag.  The tag is k for a row lifted
-    from the k-th of the K atoms of `normal_solutions.solutions`, so it
-    runs 1..K.  Each sorted bucket is decoded by one struct call: to the
-    n coordinates, the tag skipped as pad bytes, or with `tagged=True`
-    to the n coordinates and the tag as an (n+1)-th item.
+    A row is the int sum of x_i * B^(n-1-i) while it is built and
+    sorted, with B = 2^(8w) and w in {1, 2, 4, 8} bytes the narrowest
+    width above the largest atom entry (no lifted coordinate is larger).
+    Two atoms never lift to the same row, since a row's class sums give
+    its atom back, so the rows are distinct.
 
     The plan and the normal solutions are checked here, not when the
-    result is first iterated.
+    blocks are first iterated.
     """
     _check_pair(plan, normal_solutions)
     solutions = normal_solutions.solutions
@@ -124,7 +125,7 @@ def lift_solutions(
     width = digit_width(top)
     if width is None:
         raise DomainError(f"an atom entry of {top} does not fit in 64 bits")
-    return chain.from_iterable(_buckets(plan, solutions, width, tagged))
+    return width, _buckets(plan, solutions, width)
 
 
 def _rows_at_most(limit, atoms, placed, left):
@@ -145,13 +146,12 @@ def _rows_at_most(limit, atoms, placed, left):
 
 
 def _bucket_rows(prefix, placed, atoms, left, tables):
-    """The packed rows below a node of the walk, sorted.  Per atom, its
-    tag (the atom's last item) and each class with one way left to split
-    what remains of it are added to the prefix; the other classes'
-    tables are added on, a table at a time."""
+    """The packed rows below a node of the walk, sorted.  Per atom, each
+    class with one way left to split what remains of it is added to the
+    prefix; the other classes' tables are added on, a table at a time."""
     rows = []
     for y in atoms:
-        head = prefix + y[-1]
+        head = prefix
         spread = []
         for s, k in left:
             table = tables[y[s] - placed[s], s, k]
@@ -190,14 +190,12 @@ def _children(prefix, p, placed, atoms, s, last, unit):
         yield prefix + v * unit, p + 1, placed_v, atoms[start:]
 
 
-def _buckets(plan, solutions, width, tagged):
-    """The walk of `lift_solutions`: its buckets in order, each an
-    iterator over sorted rows with coordinates `width` bytes wide, and
-    with the atom tag as a last item if `tagged`."""
+def _buckets(plan, solutions, width):
+    """The walk of `lift_blocks`: its buckets in order, each a block of
+    sorted rows with coordinates `width` bytes wide."""
     # slot s of an atom is its total on the s-th class, the s-th letter
-    # of the support; the tag comes last
+    # of the support
     classes = list(plan.index_classes.values())
-    atoms = [y + (k,) for k, y in enumerate(solutions, 1)]
     n = sum(map(len, classes))
     slot = [0] * n
     last = [False] * n
@@ -211,13 +209,10 @@ def _buckets(plan, solutions, width, tagged):
     for p in range(n + 1):
         counts = ((s, sum(i >= p for i in idxs)) for s, idxs in enumerate(classes))
         left.append(tuple((s, k) for s, k in counts if k))
-    tag_width = digit_width(len(solutions))
-    place = [1 << 8 * (width * (n - 1 - i) + tag_width) for i in range(n)]
+    place = [1 << 8 * width * (n - 1 - i) for i in range(n)]
     tables = _Tables(classes, place)
-    size = n * width + tag_width
-    tag = DIGIT_CODES[tag_width] if tagged else f"{tag_width}x"
-    decode = Struct(f">{n}{DIGIT_CODES[width]}{tag}").iter_unpack
-    stack = [iter([(0, 0, (0,) * len(classes), atoms)])]
+    size = n * width
+    stack = [iter([(0, 0, (0,) * len(classes), solutions)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -228,7 +223,7 @@ def _buckets(plan, solutions, width, tagged):
             stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], place[p]))
         else:
             rows = _bucket_rows(prefix, placed, atoms, left[p], tables)
-            yield decode(b"".join(map(int.to_bytes, rows, repeat(size), repeat("big"))))
+            yield b"".join(map(int.to_bytes, rows, repeat(size), repeat("big")))
 
 
 def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult):

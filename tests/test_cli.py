@@ -8,10 +8,11 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import islice
 
 import pytest
 
-from congruence_atoms import NormalForm
+from congruence_atoms import NormalForm, cli
 from congruence_atoms.cli import main
 
 
@@ -285,16 +286,17 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     cache = str(tmp_path / "cache")
     nf = NormalForm(m, (1, m - 1))
     rows = [(0, m), (1, 1), (m, 0)]
-    _cache_store(cache, nf, iter(rows))
+    # row-major, one little-endian item per coordinate
+    packed = b"".join(struct.pack(code, c) for x in rows for c in x)
+    _cache_store(cache, nf, packed)
     path = os.path.join(cache, f"enum-m{m}-J1-{m - 1}.json")
     with open(path, "rb") as fh:
         whole = fh.read()
     data = json.loads(whole)
     assert data["count"] == 3
-    # row-major, one little-endian item per coordinate
     block = base64.b64decode(data["solutions"])
-    assert block == b"".join(struct.pack(code, c) for x in rows for c in x)
-    assert list(_cache_load(cache, nf)) == rows
+    assert block == packed
+    assert _cache_load(cache, nf) == packed
     # re-storing what was loaded writes the same bytes
     _cache_store(cache, nf, _cache_load(cache, nf))
     with open(path, "rb") as fh:
@@ -331,8 +333,10 @@ def test_wide_cache_round_trip(tmp_path, capsys):
     assert base64.b64decode(data["solutions"]) == bytes(
         [0, 0, 44, 1, 1, 0, 1, 0, 44, 1, 0, 0]
     )
-    rows = _cache_load(cache, NormalForm(300, (1, 299)))
-    assert list(rows) == [(0, 300), (1, 1), (300, 0)]
+    # the rows (0, 300), (1, 1), (300, 0)
+    assert _cache_load(cache, NormalForm(300, (1, 299))) == bytes(
+        [0, 0, 44, 1, 1, 0, 1, 0, 44, 1, 0, 0]
+    )
     for fmt in ("json", "csv", "text"):
         _, cold, _ = run_cli(
             ["enumerate", "300", "--support", "1,299", "--format", fmt], capsys
@@ -536,10 +540,14 @@ def _reference_record(coords, fmt, letters):
 
 
 def _golden_cases():
+    """(argv, column coefficients, expected rows): fixed cases, then
+    seeded enumerate alphabets with |J| from 1 to 6, letter 0 in some,
+    and seeded solve instances with --max-rows, plus cases whose
+    coordinates take two bytes (m >= 256)."""
     from congruence_atoms import (
         CongruenceInstance,
-        NormalForm,
         build_plan,
+        count_general,
         enumerate_normal_form,
         enumerate_standard,
         lift_solutions,
@@ -566,11 +574,60 @@ def _golden_cases():
     yield (["enumerate", "7", "--support", "5,0,3"], (0, 3, 5), expected)
     yield (["solve", "--modulus", "7", "--coeffs", "0,3,5"], (0, 3, 5), expected)
 
+    rng = random.Random(20261019)
+    alphabets = [(257, (0, 1, 128, 256)), (300, (299, 1))]
+    alphabets += [(m, None) for m in rng.choices(range(2, 17), k=30)]
+    for m, J in alphabets:
+        if J is None:
+            J = rng.sample(range(m), rng.randint(1, min(6, m)))
+        letters = tuple(sorted(J))
+        argv = ["enumerate", str(m), "--support", ",".join(map(str, J))]
+        yield argv, letters, enumerate_normal_form(NormalForm(m, letters)).solutions
+    instances = [(300, (1, 299, 299), None), (256, (1, 1, 1, 1, 1, 255), 700)]
+    while len(instances) < 32:
+        m = rng.randint(2, 12)
+        coeffs = tuple(rng.randint(-m, 2 * m) for _ in range(rng.randint(1, 9)))
+        plan = build_plan(CongruenceInstance(m, coeffs))
+        count = count_general(plan, enumerate_normal_form(NormalForm(m, plan.support)))
+        if count <= 2000:
+            instances.append((m, coeffs, rng.choice([None, 0, 1, count // 2, count + 1])))
+    for m, coeffs, cap in instances:
+        plan = build_plan(CongruenceInstance(m, coeffs))
+        normal = enumerate_normal_form(NormalForm(m, plan.support))
+        # --coeffs=... since a list may start with a minus sign
+        argv = ["solve", "--modulus", str(m), "--coeffs=" + ",".join(map(str, coeffs))]
+        if cap is not None:
+            argv += ["--max-rows", str(cap)]
+        rows = list(islice(lift_solutions(plan, normal), cap))
+        yield argv, tuple(a % m for a in coeffs), rows
+
+
+def test_golden_cases_cover_every_chunk_shape():
+    # the record writer cuts a row into three chunks at (0, n - 2k, n - k,
+    # n), k = n // 3: |J| <= 2 leaves the last two chunks empty.  The
+    # cases must hold those, letter 0, two-byte coordinates, capped
+    # output and chunks that repeat at each position
+    sizes, repeats, zero, wide, capped = set(), set(), False, False, False
+    for argv, letters, rows in _golden_cases():
+        n = len(letters)
+        k = n // 3
+        cuts = (0, n - 2 * k, n - k, n)
+        sizes.add(n)
+        for p in range(3):
+            chunks = [row[cuts[p] : cuts[p + 1]] for row in rows]
+            if cuts[p] < cuts[p + 1] and len(set(chunks)) < len(chunks):
+                repeats.add(p)
+        zero |= 0 in letters
+        wide |= max(map(max, rows), default=0) > 255
+        capped |= "--max-rows" in argv
+    assert {1, 2, 3} <= sizes and repeats == {0, 1, 2}
+    assert zero and wide and capped
+
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_records_match_the_reference_formatting(capsys, fmt):
     for argv, letters, solutions in _golden_cases():
-        assert solutions
+        assert solutions or "--max-rows" in argv
         code, out, _ = run_cli(argv + ["--format", fmt], capsys)
         assert code == 0
         expected = [_reference_record(x, fmt, letters) for x in solutions]
@@ -580,22 +637,40 @@ def test_records_match_the_reference_formatting(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_cached_records_match_the_reference_formatting(tmp_path, capsys, fmt):
-    cache = str(tmp_path / "cache")
-    for argv, letters, solutions in _golden_cases():
+def test_cached_records_match_the_reference_formatting(
+    tmp_path, monkeypatch, capsys, fmt
+):
+    # each alphabet gets a cache directory of its own, so its first run
+    # is a miss that writes the one file named for m and J
+    for i, (argv, letters, solutions) in enumerate(_golden_cases()):
         if argv[0] != "enumerate":
             continue
         expected = [_reference_record(x, fmt, letters) for x in solutions]
         if fmt == "csv":
             expected.insert(0, "coords,length,width,weight,total_size")
         expected = "".join(line + "\n" for line in expected)
+        cache = tmp_path / f"cache{i}"
         for run in ("cold", "hit"):
-            code, out, _ = run_cli(argv + ["--format", fmt, "--cache", cache], capsys)
+            with monkeypatch.context() as patch:
+                if run == "hit":
+                    # a hit must not reach the engine
+                    patch.setattr(cli, "enumerate_normal_form", None)
+                code, out, _ = run_cli(argv + ["--format", fmt, "--cache", str(cache)], capsys)
             assert code == 0
             assert out == expected, (argv, run)
-    assert sorted(os.listdir(cache)) == [
-        "enum-m11-J2-5-7.json", "enum-m7-J0-3-5.json", "enum-m9.json",
-    ]
+        m = int(argv[1])
+        J = "" if tuple(letters) == tuple(range(1, m)) else "-J" + "-".join(map(str, letters))
+        assert os.listdir(cache) == [f"enum-m{m}{J}.json"]
+
+
+def test_record_writer_memos_start_over_when_full(monkeypatch, capsys):
+    # a memo that starts over at every second entry keeps the records
+    # right: a streamed lift's memos stay bounded
+    monkeypatch.setattr(cli, "MEMO_ENTRIES", 2)
+    for argv, letters, rows in islice(_golden_cases(), 3):
+        code, out, _ = run_cli(argv + ["--format", "text"], capsys)
+        assert code == 0
+        assert out.splitlines() == [_reference_record(x, "text", letters) for x in rows]
 
 
 def test_solve_count_only(capsys):
@@ -819,13 +894,16 @@ def test_walk_past_the_recursion_limit_is_a_budget_refusal(capsys, argv):
     [
         ["enumerate", "100000", "--count-only"],
         ["enumerate", "100000", "--support", "1,99999"],
+        ["enumerate", "100000000", "--count-only"],
     ],
-    ids=["standard-count-only", "enumerate"],
+    ids=["standard-count-only", "enumerate", "standard-1e8-count-only"],
 )
 def test_walk_that_cannot_finish_is_refused_before_its_tables(argv):
     # letter 1 has order 100000, far past the recursion limit, and the
     # step tables of 1..99999 would hold about 5 * 10**9 slots: the walk
-    # is refused before they are built, well inside a 1 GB address space
+    # is refused before they are built, well inside a 1 GB address space.
+    # At m = 10**8 the alphabet 1..m-1 alone would not fit: it is refused
+    # before its letters are built
     import resource
 
     def cap():
@@ -845,32 +923,40 @@ def test_walk_that_cannot_finish_is_refused_before_its_tables(argv):
     )
 
 
+MASK_TOO_WIDE = "the closure mask has more bits than an int can hold"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ["enumerate", str(2**64 + 1), "--support", "1", "--count-only"],
-        ["solve", "--modulus", str(2**64 + 1), "--coeffs", "1,0"],
-        ["enumerate", str(2**63), "--support", str(2**62)],
-        ["enumerate", str(2**64 + 1), "--count-only"],
-        ["enumerate", str(2**64 + 1), "--naive"],
-        ["enumerate", str(10**20), "--support", "1", "--count-only"],
-        ["solve", "--modulus", str(10**20), "--coeffs", "1,2", "--count-only"],
+        (["enumerate", str(2**64 + 1), "--support", "1", "--count-only"], ""),
+        (["solve", "--modulus", str(2**64 + 1), "--coeffs", "1,0"], ""),
+        (["enumerate", str(2**63), "--support", str(2**62)], ""),
+        (["enumerate", str(2**64 + 1), "--count-only"], ""),
+        (["enumerate", str(2**64 + 1), "--naive"], ""),
+        (["enumerate", str(10**20), "--support", "1", "--count-only"], ""),
+        (["solve", "--modulus", str(10**20), "--coeffs", "1,2", "--count-only"], ""),
+        (["enumerate", str(2 * 10**20), "--support", str(10**20)], MASK_TOO_WIDE),
+        (
+            ["enumerate", str(2 * 10**20), "--support", str(10**20), "--count-only"],
+            MASK_TOO_WIDE,
+        ),
     ],
     ids=[
         "count-only", "solve", "enumerate", "standard-count-only", "standard-naive",
-        "count-only-1e20", "solve-1e20",
+        "count-only-1e20", "solve-1e20", "mask-2e20", "mask-2e20-count-only",
     ],
 )
-def test_huge_modulus_is_a_budget_refusal(capsys, argv):
+def test_huge_modulus_is_a_budget_refusal(capsys, argv, reason):
     # a walk holding letter 1 (order m) is refused before its tables are
     # built; an m-bit closure mask with m >= 2**63 fails before any
-    # memory is taken (the letter 2**62 has order 2); no table of the
-    # walk has m entries; and the alphabet 1..m-1 at m = 2**64 + 1 has
-    # more letters than a tuple can hold
+    # memory is taken (the letters 2**62 and 10**20 have order 2); no
+    # table of the walk has m entries; and the alphabet 1..m-1 at
+    # m = 2**64 + 1 is refused before its letters are built
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: " + reason)
 
 
 def test_diversity_command(capsys):

@@ -240,42 +240,6 @@ def test_plan_support_and_count_follow_the_classes():
         assert count_general(plan, normal) == rows, plan
 
 
-def atom_of(plan, row):
-    """The tag that the row's atom has: one more than the index in the
-    normal solutions of the atom given back by the row's class sums; a
-    unit row of the zero class gives back e_0."""
-    y = tuple(sum(row[i] for i in plan.index_classes[r]) for r in plan.support)
-    return normal_cached(plan).solutions.index(y) + 1
-
-
-@pytest.mark.parametrize("bucket_rows", [1, None])
-def test_tagged_lift_tags_each_row_with_its_atom(bucket_rows, monkeypatch):
-    if bucket_rows is not None:
-        monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
-    plans = equality_instances(400, 400)
-    assert any(0 in plan.index_classes for plan in plans)
-    assert any(0 not in plan.index_classes for plan in plans)
-    for plan in plans:
-        normal = normal_cached(plan)
-        tagged = list(lift_solutions(plan, normal, tagged=True))
-        assert [row[:-1] for row in tagged] == list(lift_solutions(plan, normal))
-        tags = [atom_of(plan, row[:-1]) for row in tagged]
-        assert [row[-1] for row in tagged] == tags
-
-
-def test_tagged_lift_with_a_two_byte_tag():
-    # 0..10 mod 11: one row per atom over 0..10, e_0 included, past 255
-    # atoms, so a tag needs two bytes; the tags run 1..K
-    plan = build_plan(CongruenceInstance(11, tuple(range(11))))
-    normal = normal_cached(plan)
-    assert len(normal.solutions) > 255
-    tagged = list(lift_solutions(plan, normal, tagged=True))
-    assert [row[:-1] for row in tagged] == reference_lift(plan, normal)
-    tags = sorted(row[-1] for row in tagged)
-    assert tags == list(range(1, len(normal.solutions) + 1))
-    assert all(row[-1] == atom_of(plan, row[:-1]) for row in tagged)
-
-
 def one_atom(entry):
     """A one-coefficient plan and a hand-built atom (entry,).  The lift
     does not check that an atom solves the congruence, so the entry can
