@@ -103,7 +103,8 @@ MEMO_ENTRIES = 1 << 14
 
 
 class _Memo(dict):
-    """The value of each key made by `make` on first use."""
+    """The value of each key made by `make` on first use; the memo
+    starts over once it holds MEMO_ENTRIES values."""
 
     def __init__(self, make):
         super().__init__()
@@ -150,8 +151,8 @@ class _RecordWriter:
     def __init__(self, fmt, order, width, letters, out):
         head, sep, tail = _TEMPLATES[fmt]
         code = DIGIT_CODES[width]
-        # an atom's coordinates are at most m: past one byte, only the
-        # memos' misses take the decimal form
+        # a one-byte digit is below 256; a wider one takes its decimal
+        # form on first use
         digits = _DIGITS if width == 1 else _Decimal()
         n = len(letters)
         k = n // 3
