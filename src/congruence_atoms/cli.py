@@ -74,14 +74,6 @@ def _parse_int_list(text, what):
 _DIGITS = tuple(map(str, range(256)))
 
 
-class _Decimal(dict):
-    """The decimal form of each int, made on first use."""
-
-    def __missing__(self, c):
-        text = self[c] = str(c)
-        return text
-
-
 # per format, a record is head + sep.join(coordinates) + tail % (length,
 # width, weight, total size); the json form is what json.dumps with
 # separators (",", ":") prints for the same dict
@@ -153,7 +145,7 @@ class _RecordWriter:
         code = DIGIT_CODES[width]
         # a one-byte digit is below 256; a wider one takes its decimal
         # form on first use
-        digits = _DIGITS if width == 1 else _Decimal()
+        digits = _DIGITS if width == 1 else _Memo(str)
         n = len(letters)
         k = n // 3
         cuts = (0, n - 2 * k, n - k, n)
@@ -324,14 +316,17 @@ def cmd_enumerate(args):
     started = time.monotonic()
     block = _cache_load(args.cache, nf) if args.cache else None
     if block is None:
-        # the engine and the oracle refuse every m past 2**63, so the
-        # rows are packed with the cache's struct, once, and that block
-        # is stored and printed
         if args.naive:
             solutions = enumerate_naive(m, letters).solutions
         else:
             solutions = enumerate_normal_form(nf).solutions
-        block = b"".join(starmap(_cache_row(m, letters).pack, solutions))
+        # the engine lists e_0 at any m (letter 0 needs no closure step),
+        # so a row may fit no digit width; else the rows are packed once
+        # with the cache's struct, and that block is stored and printed
+        row = _cache_row(m, letters)
+        if row is None:
+            raise BudgetExceeded(f"the coordinates 0..{m} of a row fit no 8-byte digit")
+        block = b"".join(starmap(row.pack, solutions))
         if args.cache:
             _cache_store(args.cache, nf, block)
     elapsed_ms = int((time.monotonic() - started) * 1000)

@@ -22,6 +22,12 @@ letter, the unit vector e_0 is the one atom of length 1.  A zero-sum-free
 T never holds the letter 0, so letter 0 only ever closes the empty
 multiset.
 
+A node T with last letter p tries the later letters last first, then
+the repeat of p, so the atoms come out in increasing lexicographic
+order: below T, an atom reached through a new letter j > k > p has
+x_k = 0 and one through k has x_k >= 1; one through a new letter keeps
+the x_p of T, which the repeat raises; no entry both closes and extends.
+
 The naive simplex scan is kept as a fully independent oracle.
 """
 
@@ -54,7 +60,7 @@ class EnumerationResult:
 
     modulus: int
     support: tuple    # the letters, strictly increasing; 1..m-1 if standard
-    solutions: tuple  # lexicographically sorted coordinate tuples
+    solutions: tuple  # coordinate tuples, in lexicographic order as built
 
     @property
     def count(self):
@@ -73,16 +79,16 @@ def _closure_mask(letters, counts, m):
 def _walk_tables(m, letters, marked=(), width=0):
     """The steps of the closing-letter walk over the distinct letters in
     [0, m), per next letter index p: the tuples (j, a, back, shift) with
-    j >= p and back = -a mod m.  Letter a closes a multiset whose sum is
-    back; otherwise it extends one whose mask has bit back clear.  shift
-    is `width` where a is in `marked` and new at p (j > p), else 0: the
-    entry j == p repeats the last letter added.  The tables hold |J|(|J|+1)/2
-    slots for |J| letters (about m**2/2 for 1..m-1), so a walk that is
-    certain to outrun the recursion limit is refused before they are
-    built."""
+    back = -a mod m, for the later letters j > p from last to first, then
+    j == p, the repeat of the last letter added.  Letter a closes a
+    multiset whose sum is back; otherwise it extends one whose mask has
+    bit back clear.  shift is `width` where a is in `marked` and new
+    (j > p), else 0.  The tables hold |J|(|J|+1)/2 slots for |J| letters
+    (about m**2/2 for 1..m-1), so a walk that is certain to outrun the
+    recursion limit is refused before they are built."""
     refuse_deep_walk(m, letters)
     steps = [(j, a, -a % m, width if a in marked else 0) for j, a in enumerate(letters)]
-    return [[(j, a, back, 0)] + steps[j + 1:] for j, a, back, _ in steps] + [[]]
+    return [steps[:j:-1] + [(j, a, back, 0)] for j, a, back, _ in steps]
 
 
 def _walk(visit, pos=0, mask=0, total=0):
@@ -102,9 +108,9 @@ def _walk(visit, pos=0, mask=0, total=0):
 
 def _enumerate_letters(m, letters):
     """All indecomposable solutions over the distinct letters in [0, m),
-    sorted: one closing-letter walk from the empty multiset."""
+    in the lexicographic order that one closing-letter walk builds."""
     tails = _walk_tables(m, letters)
-    counts = [0] * (len(tails) - 1)
+    counts = [0] * len(tails)
     out = []
 
     def visit(pos, mask, total):
@@ -122,20 +128,20 @@ def _enumerate_letters(m, letters):
                 counts[j] -= 1
 
     _walk(visit)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def _count_walk(m, letters, marked=(), root=(0, 0, 0)):
     """The closing-letter walk of _enumerate_letters from the node `root`
-    (pos, mask, total), by default the empty multiset.  It returns the
-    counts d_0, d_1, ... (no trailing 0) of the atoms below the root that
-    hold 0, 1, ... marked letters the root does not; with nothing marked,
-    [] or [the number of atoms].  A node's value, the int of 2m-bit digits
-    d_k, depends only on the next letter index, the closure mask and the
-    running sum mod m, so it is memoised on that state; an edge adds the
-    child's value shifted one digit up where its letter is marked and new.
-    A digit never overflows: every atom lies in the simplex |x|_1 <= m, so
-    there are fewer than C(2m - 1, m - 1) < 4**m of them."""
+    (pos, mask, total), by default the empty multiset.  It returns one
+    int of 2m-bit digits: digit k counts the atoms below the root that
+    hold k marked letters the root does not, so with nothing marked the
+    int is the number of atoms.  A node's value depends only on the next
+    letter index, the closure mask and the running sum mod m, so it is
+    memoised on that state; an edge adds the child's value shifted one
+    digit up where its letter is marked and new.  A digit never
+    overflows: every atom lies in the simplex |x|_1 <= m, so there are
+    fewer than C(2m - 1, m - 1) < 4**m of them."""
     width = 2 * m
     tails = _walk_tables(m, letters, marked, width)
     # one memo per next letter index; total < m, so mask * m + total
@@ -156,12 +162,7 @@ def _count_walk(m, letters, marked=(), root=(0, 0, 0)):
             memo[key] = n
         return n
 
-    value = _walk(visit, *root)
-    digits = []
-    while value:
-        digits.append(value & ((1 << width) - 1))
-        value >>= width
-    return digits
+    return _walk(visit, *root)
 
 
 def count_letters(m, letters):
@@ -186,16 +187,18 @@ def count_letters(m, letters):
     """
     nf = NormalForm(m, letters)
     if not nf.is_standard:
-        return sum(_count_walk(m, nf.support))
+        return _count_walk(m, nf.support)
     units = frozenset(a for a in nf.support if math.gcd(a, m) == 1)
-    digits = _count_walk(m, nf.support, units, (0, closure_step(0, 1, m), 1 % m))
+    value = _count_walk(m, nf.support, units, (0, closure_step(0, 1, m), 1 % m))
+    digit = (1 << 2 * m) - 1
+    digits = [value >> k & digit for k in range(0, value.bit_length(), 2 * m)]
     common = math.lcm(*range(1, len(digits) + 1))
     weighted = sum(d * (common // u) for u, d in enumerate(digits, 1))
     with_units, remainder = divmod(euler_phi(m) * weighted, common)
     if remainder:
         raise ArithmeticError(f"the unit orbits of the atoms mod {m} do not divide")
     nonunits = tuple(a for a in nf.support if a not in units)
-    return with_units + (sum(_count_walk(m, nonunits)) if nonunits else 0)
+    return with_units + (_count_walk(m, nonunits) if nonunits else 0)
 
 
 def enumerate_standard(m):
@@ -243,8 +246,8 @@ def is_indecomposable(coords, m, support=None):
 
 
 def naive_minimal_solutions(m, weights):
-    """Three-step oracle: scan the simplex |x|_1 <= m, keep solutions,
-    drop the non-minimal ones.  Independent of the DFS engine."""
+    """Three-step oracle, independent of the DFS engine: scan the simplex
+    |x|_1 <= m in lexicographic order, keep the minimal solutions."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
     weights = tuple(w % m for w in weights)
@@ -282,4 +285,4 @@ def enumerate_naive(m, support=None):
     enumerate_normal_form (a strictly increasing support)."""
     nf = NormalForm.standard(m) if support is None else NormalForm(m, support)
     sols = naive_minimal_solutions(m, nf.support)
-    return EnumerationResult(m, nf.support, tuple(sorted(sols)))
+    return EnumerationResult(m, nf.support, sols)

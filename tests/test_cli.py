@@ -959,6 +959,30 @@ def test_huge_modulus_is_a_budget_refusal(capsys, argv, reason):
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: " + reason)
 
 
+@pytest.mark.parametrize("m", [2**40, 2**64])
+def test_letter_0_alone_is_counted_at_any_modulus(capsys, m):
+    # letter 0 closes the empty multiset without a closure step, so e_0 is
+    # the one atom however large m is; the count is one int, never split
+    # into 2m-bit digits
+    argv = ["enumerate", str(m), "--support", "0", "--count-only"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["cold", "cache"])
+def test_row_past_every_digit_width_is_a_budget_refusal(tmp_path, capsys, cache):
+    # the count is 1, but no digit width of the cache and the records
+    # holds the coordinates 0..2**64: the listing is refused, and nothing
+    # is printed or cached
+    argv = ["enumerate", str(2**64), "--support", "0"]
+    if cache:
+        argv += ["--cache", str(tmp_path / "cache")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+    assert not os.path.exists(tmp_path / "cache")
+
+
 def test_diversity_command(capsys):
     code, out, _ = run_cli(
         ["diversity", "--modulus", "6", "--set", "1,3,4"], capsys

@@ -55,7 +55,7 @@ def test_orbit_count_matches_the_unmarked_walk_past_the_table():
     # empty multiset with nothing marked counts every atom once
     for m in range(24, 29):
         letters = tuple(range(1, m))
-        assert count_letters(m, letters) == sum(_count_walk(m, letters)), m
+        assert count_letters(m, letters) == _count_walk(m, letters), m
 
 
 def test_counts_are_unit_invariant():
