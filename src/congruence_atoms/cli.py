@@ -29,8 +29,9 @@ from .core import (
     DomainError,
     NormalForm,
     bound_violations,
-    digit_width,
     euler_phi,
+    row_struct,
+    row_width,
 )
 from .enumeration import (
     ENGINE_FINGERPRINT,
@@ -54,7 +55,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 # the verdict of a verify check that did not run: neither PASS nor FAIL
 SKIPPED = object()
@@ -130,8 +131,8 @@ def _chunk_fields(unpack, lead, sep, letters, digits):
 
 
 class _RecordWriter:
-    """One record per packed row.  A row is n = len(letters) unsigned
-    digits of `width` bytes in the byte order `order` ("<" or ">"); one
+    """One record per packed row.  A row is n = len(letters) digits of
+    `width` bytes in `core`'s packed-row format (`core.row_struct`); one
     struct splits it into three byte chunks at the digit cuts (0, n - 2k,
     n - k, n), k = n // 3, so the first chunk is never empty.  Per chunk
     position a memo maps the chunk's bytes to the text, length, width and
@@ -140,9 +141,8 @@ class _RecordWriter:
     width, weight) to the record tail.  Rows repeat their chunks, so a
     row costs three memo hits, a few adds and a tail lookup."""
 
-    def __init__(self, fmt, order, width, letters, out):
+    def __init__(self, fmt, width, letters, out):
         head, sep, tail = _TEMPLATES[fmt]
-        code = DIGIT_CODES[width]
         # a one-byte digit is below 256; a wider one takes its decimal
         # form on first use
         digits = _DIGITS if width == 1 else _Memo(str)
@@ -153,7 +153,7 @@ class _RecordWriter:
         self.split = Struct("".join(f"{(hi - lo) * width}s" for lo, hi in spans)).iter_unpack
         self.chunks = [
             _Memo(_chunk_fields(
-                Struct(f"{order}{hi - lo}{code}").unpack,
+                row_struct(hi - lo, width).unpack,
                 sep if p else head,
                 sep,
                 letters[lo:hi],
@@ -207,24 +207,13 @@ def _cache_path(directory, m, J):
     return os.path.join(directory, tag + ".json")
 
 
-def _cache_row(m, letters):
-    """The struct of one cached row: a little-endian unsigned digit per
-    letter, of the narrowest width that holds 0..m (the lift's rule), or
-    None.  An atom's coordinates are at most m: any m elements of Z_m
-    hold a non-empty zero-sum subsequence."""
-    width = digit_width(m)
-    return None if width is None else Struct(f"<{len(letters)}{DIGIT_CODES[width]}")
-
-
 def _cache_load(directory, nf):
-    """The block of the cached solutions over the alphabet `nf`, packed
-    rows as `_cache_row` packs them, or None on a miss.  The whole file
-    is read and checked first: a missing, unreadable, malformed or stale
-    file is a miss."""
+    """The cached solutions over the alphabet `nf` as (width, block), a
+    block of rows in `core`'s packed-row format, or None on a miss.  The
+    whole file is read and checked first: a missing, unreadable,
+    malformed or stale file is a miss, an older version's file too."""
     m = nf.modulus
-    row = _cache_row(m, nf.support)
-    if row is None:
-        return None
+    n = len(nf.support)
     J = _cache_key(nf)
     try:
         with open(_cache_path(directory, m, J), "rb") as fh:
@@ -240,39 +229,38 @@ def _cache_load(directory, nf):
     ):
         return None
     # records are printed from the rows unchecked: the block must hold
-    # `count` rows, none of them with an item above m
+    # `count` rows of one digit width, none with an item above m (any m
+    # elements of Z_m hold a non-empty zero-sum subsequence)
     count = data.get("count")
-    if not isinstance(count, int) or isinstance(count, bool):
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         return None
     try:
         raw = base64.b64decode(data["solutions"], validate=True)
     except (KeyError, TypeError, ValueError):
         return None
-    if len(raw) != count * row.size:
+    width, rest = divmod(len(raw), count * n)
+    if rest or width not in DIGIT_CODES:
         return None
-    if row.format.endswith("B"):
+    if width == 1:
         # one byte per coordinate: one call finds any byte above m
-        bad = raw.translate(None, bytes(range(m + 1)))
+        bad = raw.translate(None, bytes(range(min(m, 255) + 1)))
     else:
-        bad = max(map(max, row.iter_unpack(raw)), default=0) > m
-    return None if bad else raw
+        bad = max(map(max, row_struct(n, width).iter_unpack(raw))) > m
+    return None if bad else (width, raw)
 
 
-def _cache_store(directory, nf, block):
-    """Write the block of the solutions over the alphabet `nf`, packed
-    rows as `_cache_row` packs them, as a JSON header and a base64
-    string.  A modulus too large for every digit width is not cached."""
+def _cache_store(directory, nf, width, block):
+    """Write the solutions over the alphabet `nf`, a block of rows in
+    `core`'s packed-row format with digits `width` bytes wide, as a JSON
+    header and a base64 string."""
     m = nf.modulus
-    row = _cache_row(m, nf.support)
-    if row is None:
-        return
     J = _cache_key(nf)
     payload = {
         "version": CACHE_VERSION,
         "m": m,
         "J": J,
         "engine": ENGINE_FINGERPRINT,
-        "count": len(block) // row.size,
+        "count": len(block) // (len(nf.support) * width),
         "solutions": base64.b64encode(block).decode("ascii"),
     }
     # write a temp file next to the target and rename it over, so a
@@ -314,23 +302,21 @@ def cmd_enumerate(args):
         print(count_letters(m, letters), file=out)
         return EXIT_OK
     started = time.monotonic()
-    block = _cache_load(args.cache, nf) if args.cache else None
-    if block is None:
+    hit = _cache_load(args.cache, nf) if args.cache else None
+    if hit is None:
         if args.naive:
             solutions = enumerate_naive(m, letters).solutions
         else:
             solutions = enumerate_normal_form(nf).solutions
-        # the engine lists e_0 at any m (letter 0 needs no closure step),
-        # so a row may fit no digit width; else the rows are packed once
-        # with the cache's struct, and that block is stored and printed
-        row = _cache_row(m, letters)
-        if row is None:
-            raise BudgetExceeded(f"the coordinates 0..{m} of a row fit no 8-byte digit")
-        block = b"".join(starmap(row.pack, solutions))
+        # packed once, as the lift packs its rows; stored and printed
+        width = row_width(solutions)
+        block = b"".join(starmap(row_struct(len(letters), width).pack, solutions))
         if args.cache:
-            _cache_store(args.cache, nf, block)
+            _cache_store(args.cache, nf, width, block)
+    else:
+        width, block = hit
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    writer = _RecordWriter(args.format, "<", digit_width(m), letters, out)
+    writer = _RecordWriter(args.format, width, letters, out)
     count = writer.write(writer.rows([block]))
     _emit_summary(m, count, elapsed_ms, args.format, err)
     return EXIT_OK
@@ -350,7 +336,7 @@ def cmd_solve(args):
     started = time.monotonic()
     width, blocks = lift_blocks(plan, normal)
     # the weight is taken over the coefficients reduced mod m
-    writer = _RecordWriter(args.format, ">", width, inst.coefficients, out)
+    writer = _RecordWriter(args.format, width, inst.coefficients, out)
     rows = writer.rows(blocks)
     shown = rows if args.max_rows is None else islice(rows, args.max_rows)
     count = writer.write(shown)

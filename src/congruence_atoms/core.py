@@ -2,7 +2,8 @@
 
 Everything here works on plain tuples of non-negative integers; the
 dataclasses are thin validated containers.  All arithmetic is exact
-(Python ints), never floating point.
+(Python ints), never floating point.  The one packed-row format of the
+listing, the cache and the lift is built here (`row_width`, `row_struct`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from struct import Struct
 
 
 class DomainError(ValueError):
@@ -45,13 +47,30 @@ def refuse_deep_walk(m, letters):
         raise BudgetExceeded(TOO_DEEP)
 
 
-# the digit widths of a packed row, in bytes, and their struct codes
+# a packed row is n big-endian unsigned digits of one of these widths,
+# in bytes; with their struct codes
 DIGIT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def digit_width(top):
     """The narrowest digit width in bytes that holds 0..top, or None."""
     return next((w for w in DIGIT_CODES if top < 1 << 8 * w), None)
+
+
+def row_width(rows):
+    """The digit width of packed rows: the narrowest that holds their
+    largest coordinate.  An entry past 64 bits fits no width."""
+    top = max(map(max, rows), default=0)
+    width = digit_width(top)
+    if width is None:
+        raise DomainError(f"an atom entry of {top} does not fit in 64 bits")
+    return width
+
+
+def row_struct(n, width):
+    """The struct of n digits of a packed row, `width` bytes each, and
+    big-endian: rows read as numbers are in lexicographic order."""
+    return Struct(f">{n}{DIGIT_CODES[width]}")
 
 
 def compositions(total, parts):

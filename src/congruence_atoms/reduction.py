@@ -9,9 +9,9 @@ streamed in lexicographic order by a walk over the index positions that
 builds and sorts one bounded bucket of rows at a time, so its memory
 does not grow with the number of rows.  While a row is built and sorted
 it is one int, each coordinate a digit of a fixed byte width, so numeric
-order is lexicographic order; a sorted bucket becomes one block of
-big-endian packed rows, which `lift_solutions` decodes to tuples in one
-call and a record writer can read as it is.
+order is lexicographic order; a sorted bucket becomes one block of rows
+in `core`'s packed-row format, which `lift_solutions` decodes to tuples
+in one call and a record writer can read as it is.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from itertools import chain, groupby, product, repeat, starmap
 from math import comb, prod
 from operator import add, itemgetter, mul
-from struct import Struct
 
 from .core import (
-    DIGIT_CODES,
     CongruenceInstance,
     DomainError,
     binomial,
     compositions,
-    digit_width,
+    row_struct,
+    row_width,
 )
 from .enumeration import EnumerationResult
 
@@ -91,14 +90,13 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult):
     decoded to tuples by one struct call."""
     width, blocks = lift_blocks(plan, normal_solutions)
     n = sum(map(len, plan.index_classes.values()))
-    decode = Struct(f">{n}{DIGIT_CODES[width]}").iter_unpack
-    return chain.from_iterable(map(decode, blocks))
+    return chain.from_iterable(map(row_struct(n, width).iter_unpack, blocks))
 
 
 def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     """The lift as (w, blocks): an iterator over byte blocks of packed
     rows, the rows sorted within a block and the blocks in order, each
-    row n big-endian unsigned digits of w bytes.
+    row n big-endian unsigned digits of w bytes (`core.row_struct`).
 
     The rows come from a depth-first walk over the original index
     positions, with an explicit stack.  A node of the walk is a packed
@@ -111,8 +109,8 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     stack and one bucket of rows at a time, however many rows there are.
 
     A row is the int sum of x_i * B^(n-1-i) while it is built and
-    sorted, with B = 2^(8w) and w in {1, 2, 4, 8} bytes the narrowest
-    width above the largest atom entry (no lifted coordinate is larger).
+    sorted, with B = 2^(8w) and w = `core.row_width` of the atoms (no
+    lifted coordinate is larger than an atom entry).
     Two atoms never lift to the same row, since a row's class sums give
     its atom back, so the rows are distinct.
 
@@ -121,10 +119,7 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     """
     _check_pair(plan, normal_solutions)
     solutions = normal_solutions.solutions
-    top = max(map(max, solutions), default=0)
-    width = digit_width(top)
-    if width is None:
-        raise DomainError(f"an atom entry of {top} does not fit in 64 bits")
+    width = row_width(solutions)
     return width, _buckets(plan, solutions, width)
 
 

@@ -109,8 +109,7 @@ def test_cache_round_trip(tmp_path, capsys):
     from congruence_atoms.cli import _cache_load, _cache_store
 
     nf = NormalForm.standard(9)
-    solutions = _cache_load(cache, nf)
-    _cache_store(cache, nf, solutions)
+    _cache_store(cache, nf, *_cache_load(cache, nf))
     with open(path, "rb") as fh:
         assert fh.read() == original
 
@@ -179,7 +178,9 @@ def _version_1(data):
 
 # each edit of a good enum-m7.json (47 rows of 6 one-byte coordinates)
 # that must make it a miss; the first eight plant in the header or the
-# block the kinds of bad value that list rows could hold
+# block the kinds of bad value that list rows could hold.  A doubled
+# block reads as 47 rows of two-byte digits, some above m; a tripled one
+# as three-byte digits, which no row has
 MALFORMED_CACHE = {
     "negative": _set(count=-1),
     "string": _set(count="47"),
@@ -190,13 +191,17 @@ MALFORMED_CACHE = {
     "nested": _nested_rows,
     "short": _tamper_block(lambda b: b.pop()),
     "row-long": _tamper_block(lambda b: b.extend(b[:6])),
+    "block-doubled": _tamper_block(lambda b: b.extend(bytes(b))),
+    "block-tripled": _tamper_block(lambda b: b.extend(bytes(b) * 2)),
     "count-one-more": _set(count=48),
     "coordinate-above-m": _tamper_block(lambda b: b.__setitem__(-1, 8)),
     # b64decode without validate=True would skip the "*"
     "invalid-base64": lambda data: data.update(solutions="*" + data["solutions"]),
     "solutions-missing": lambda data: data.pop("solutions"),
     "version-1": _version_1,
-    "version-3": _set(version=3),
+    # version 2 packed little-endian digits as wide as m needs
+    "version-2": _set(version=2),
+    "version-4": _set(version=4),
     "other-engine": _set(engine="someone-else"),
     "other-m": _set(m=8),
     "other-J": _set(J=[1, 2, 3, 4, 5, 6]),
@@ -233,25 +238,24 @@ def test_deeply_nested_cache_is_a_miss(tmp_path, capsys):
 
 
 def test_uncacheable_moduli(tmp_path, capsys):
-    from congruence_atoms.cli import _cache_load, _cache_store
-    from congruence_atoms.core import digit_width
+    from congruence_atoms.cli import CACHE_VERSION
+    from congruence_atoms.core import DomainError, digit_width, row_width
     from congruence_atoms.enumeration import ENGINE_FINGERPRINT
 
-    # the cache and the lift share one width rule: 0..m in 1, 2, 4 or 8 bytes
+    # the cache and the lift share one width rule: the narrowest of 1, 2,
+    # 4 or 8 bytes that holds the largest coordinate
     assert [digit_width(m) for m in (2, 255, 256, 65535, 65536, 2**32 - 1)] == [
         1, 1, 2, 2, 4, 4,
     ]
-    # no digit width holds 2**64: such a modulus is never cached
     assert digit_width(2**64) is None
-    cache = str(tmp_path / "cache")
-    nf = NormalForm(2**64, (1,))
-    _cache_store(cache, nf, [(2**64,)])
-    assert not os.path.exists(cache) and _cache_load(cache, nf) is None
+    with pytest.raises(DomainError):
+        row_width([(1, 2**64)])
     # a well-formed file for m = 1 (no columns) is a miss, not a crash
+    cache = str(tmp_path / "cache")
     os.makedirs(cache)
     with open(os.path.join(cache, "enum-m1.json"), "w") as fh:
         json.dump(
-            {"version": 2, "m": 1, "J": None, "engine": ENGINE_FINGERPRINT,
+            {"version": CACHE_VERSION, "m": 1, "J": None, "engine": ENGINE_FINGERPRINT,
              "count": 0, "solutions": ""},
             fh,
         )
@@ -267,7 +271,7 @@ def test_cache_file_layout(tmp_path, capsys):
     with open(os.path.join(cache, "enum-m7.json")) as fh:
         data = json.load(fh)
     assert list(data) == ["version", "m", "J", "engine", "count", "solutions"]
-    assert data["version"] == 2 and data["count"] == 47
+    assert data["version"] == 3 and data["count"] == 47
     solutions = enumerate_standard(7).solutions
     # one byte per coordinate, row-major
     assert base64.b64decode(data["solutions"]) == bytes(
@@ -275,7 +279,7 @@ def test_cache_file_layout(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("m, code", [(65536, "<I"), (2**32, "<Q")])
+@pytest.mark.parametrize("m, code", [(65536, ">I"), (2**32, ">Q")])
 def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     # the atoms over J = {1, m - 1}; no enumeration at such m is
     # affordable, so the rows are written and read back directly
@@ -286,9 +290,10 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     cache = str(tmp_path / "cache")
     nf = NormalForm(m, (1, m - 1))
     rows = [(0, m), (1, 1), (m, 0)]
-    # row-major, one little-endian item per coordinate
+    # row-major, one big-endian item per coordinate
     packed = b"".join(struct.pack(code, c) for x in rows for c in x)
-    _cache_store(cache, nf, packed)
+    w = struct.calcsize(code)
+    _cache_store(cache, nf, w, packed)
     path = os.path.join(cache, f"enum-m{m}-J1-{m - 1}.json")
     with open(path, "rb") as fh:
         whole = fh.read()
@@ -296,14 +301,13 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     assert data["count"] == 3
     block = base64.b64decode(data["solutions"])
     assert block == packed
-    assert _cache_load(cache, nf) == packed
+    assert _cache_load(cache, nf) == (w, packed)
     # re-storing what was loaded writes the same bytes
-    _cache_store(cache, nf, _cache_load(cache, nf))
+    _cache_store(cache, nf, *_cache_load(cache, nf))
     with open(path, "rb") as fh:
         assert fh.read() == whole
     # a coordinate of m + 1 makes the file a miss: the last row (m, 0)
     # becomes (m + 1, 0)
-    w = struct.calcsize(code)
     bad = block[: -2 * w] + struct.pack(code, m + 1) + block[-w:]
     data["solutions"] = base64.b64encode(bad).decode("ascii")
     with open(path, "w") as fh:
@@ -312,8 +316,8 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
 
 
 def test_wide_cache_round_trip(tmp_path, capsys):
-    # m > 255: coordinates up to 300 take two bytes each, little-endian,
-    # and are printed past the 0..255 digit table
+    # coordinates up to 300 take two bytes each, big-endian, and are
+    # printed past the 0..255 digit table
     from congruence_atoms.cli import _cache_load
 
     cache = str(tmp_path / "cache")
@@ -330,13 +334,10 @@ def test_wide_cache_round_trip(tmp_path, capsys):
         whole = fh.read()
     data = json.loads(whole)
     assert data["count"] == 3
-    assert base64.b64decode(data["solutions"]) == bytes(
-        [0, 0, 44, 1, 1, 0, 1, 0, 44, 1, 0, 0]
-    )
     # the rows (0, 300), (1, 1), (300, 0)
-    assert _cache_load(cache, NormalForm(300, (1, 299))) == bytes(
-        [0, 0, 44, 1, 1, 0, 1, 0, 44, 1, 0, 0]
-    )
+    block = bytes([0, 0, 1, 44, 0, 1, 0, 1, 1, 44, 0, 0])
+    assert base64.b64decode(data["solutions"]) == block
+    assert _cache_load(cache, NormalForm(300, (1, 299))) == (2, block)
     for fmt in ("json", "csv", "text"):
         _, cold, _ = run_cli(
             ["enumerate", "300", "--support", "1,299", "--format", fmt], capsys
@@ -345,7 +346,7 @@ def test_wide_cache_round_trip(tmp_path, capsys):
         assert hit == cold, fmt
     # a coordinate above m in the wide block is a miss
     data["solutions"] = base64.b64encode(
-        bytes([0, 0, 45, 1, 1, 0, 1, 0, 44, 1, 0, 0])
+        bytes([0, 0, 1, 45, 0, 1, 0, 1, 1, 44, 0, 0])
     ).decode("ascii")
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -969,18 +970,79 @@ def test_letter_0_alone_is_counted_at_any_modulus(capsys, m):
     assert (code, out, err) == (0, "1\n", "")
 
 
-@pytest.mark.parametrize("cache", [False, True], ids=["cold", "cache"])
-def test_row_past_every_digit_width_is_a_budget_refusal(tmp_path, capsys, cache):
-    # the count is 1, but no digit width of the cache and the records
-    # holds the coordinates 0..2**64: the listing is refused, and nothing
-    # is printed or cached
+def test_letter_0_alone_is_listed_at_any_modulus(tmp_path, capsys):
+    # a row's digits are as wide as its largest coordinate needs, not m:
+    # e_0 is one one-byte row at m = 2**64, cold, stored and read back
     argv = ["enumerate", str(2**64), "--support", "0"]
-    if cache:
-        argv += ["--cache", str(tmp_path / "cache")]
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (3, "")
-    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
-    assert not os.path.exists(tmp_path / "cache")
+    cache = ["--cache", str(tmp_path / "cache")]
+    outs = []
+    for extra in ([], cache, cache):
+        code, out, _ = run_cli(argv + extra, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs == ["x=(1) length=1 width=1 weight=0 total_size=2\n"] * 3
+    assert os.listdir(tmp_path / "cache") == [f"enum-m{2**64}-J0.json"]
+
+
+# (m, J): an alphabet as `enumerate --support J` takes it, and as the
+# coefficients of `solve`.  Past m = 255 the rows of {150} and {0} still
+# take one-byte digits, the others two
+SAME_ATOMS = [
+    (13, (2, 5, 9)),
+    (12, (0, 3, 4, 6)),
+    (300, (150,)),
+    (300, (1, 299)),
+    (512, (256, 511)),
+    (2**64, (0,)),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_enumerate_support_prints_what_solve_prints(capsys, fmt):
+    # the normal form over J is the instance with coefficients J
+    for m, J in SAME_ATOMS:
+        J = ",".join(map(str, J))
+        listed = run_cli(["enumerate", str(m), "--support", J, "--format", fmt], capsys)
+        solved = run_cli(["solve", "--modulus", str(m), "--coeffs", J, "--format", fmt], capsys)
+        assert listed[:2] == solved[:2] and listed[0] == 0, (m, J)
+
+
+def test_cache_stores_the_blocks_of_the_lift(tmp_path, capsys):
+    # one packed-row format: the cached block is the lift's, byte for byte
+    from congruence_atoms import CongruenceInstance, build_plan, enumerate_normal_form
+    from congruence_atoms.reduction import lift_blocks
+
+    for m, J in SAME_ATOMS:
+        cache = tmp_path / f"cache{m}-{len(J)}"
+        argv = ["enumerate", str(m), "--support", ",".join(map(str, J))]
+        assert run_cli(argv + ["--cache", str(cache)], capsys)[0] == 0
+        [name] = os.listdir(cache)
+        data = json.loads((cache / name).read_text())
+        result = enumerate_normal_form(NormalForm(m, J))
+        plan = build_plan(CongruenceInstance(m, J))
+        lifted = b"".join(lift_blocks(plan, result)[1])
+        assert base64.b64decode(data["solutions"]) == lifted, (m, J)
+
+
+def test_little_endian_version_2_file_is_a_miss(tmp_path, capsys):
+    # the file that version 2 wrote for these atoms: two-byte digits,
+    # little-endian.  Read as version 3's big-endian digits its rows would
+    # be (0, 2), (256, 1) and (512, 0), each within 0..m
+    from congruence_atoms.enumeration import ENGINE_FINGERPRINT
+
+    argv = ["enumerate", "512", "--support", "256,511", "--format", "csv"]
+    _, cold, _ = run_cli(argv, capsys)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "enum-m512-J256-511.json").write_text(
+        '{"version":2,"m":512,"J":[256,511],"engine":%s,"count":3,'
+        '"solutions":"AAAAAgEAAAECAAAA"}\n' % json.dumps(ENGINE_FINGERPRINT)
+    )
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert (code, out) == (0, cold)
+    assert "0;512,512,1,261632,513" in cold.splitlines()
+    data = json.loads((cache / "enum-m512-J256-511.json").read_text())
+    assert data["version"] == 3  # rewritten
 
 
 def test_diversity_command(capsys):
