@@ -984,6 +984,24 @@ def test_letter_0_alone_is_listed_at_any_modulus(tmp_path, capsys):
     assert os.listdir(tmp_path / "cache") == [f"enum-m{2**64}-J0.json"]
 
 
+@pytest.mark.parametrize("cache", [False, True], ids=["cold", "cache"])
+def test_row_past_every_digit_width_is_a_budget_refusal(tmp_path, capsys, cache):
+    # the one atom over J = {1} at m = 2**64 is the row (2**64), which no
+    # digit width holds; letter 1 has order 2**64, so the listing is
+    # refused before any row is built, and nothing is printed or cached
+    from congruence_atoms.core import DomainError, row_width
+
+    with pytest.raises(DomainError):
+        row_width([(2**64,)])
+    argv = ["enumerate", str(2**64), "--support", "1"]
+    if cache:
+        argv += ["--cache", str(tmp_path / "cache")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+    assert not os.path.exists(tmp_path / "cache")
+
+
 # (m, J): an alphabet as `enumerate --support J` takes it, and as the
 # coefficients of `solve`.  Past m = 255 the rows of {150} and {0} still
 # take one-byte digits, the others two
