@@ -34,7 +34,6 @@ from .core import (
     row_width,
 )
 from .enumeration import (
-    ENGINE_FINGERPRINT,
     count_letters,
     enumerate_naive,
     enumerate_normal_form,
@@ -63,12 +62,9 @@ SKIPPED = object()
 
 def _parse_int_list(text, what):
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise DomainError(f"cannot parse {what} list: {text!r}")
-    if not values:
-        raise DomainError(f"empty {what} list")
-    return values
 
 
 # the decimal form of every coordinate up to 255: every one-byte digit
@@ -210,8 +206,10 @@ def _cache_path(directory, m, J):
 def _cache_load(directory, nf):
     """The cached solutions over the alphabet `nf` as (width, block), a
     block of rows in `core`'s packed-row format, or None on a miss.  The
-    whole file is read and checked first: a missing, unreadable,
-    malformed or stale file is a miss, an older version's file too."""
+    whole file is read and checked first: a missing, unreadable or
+    malformed file is a miss, and so is one whose version, m or J
+    differ.  Keys besides version, m, J, count and solutions are
+    ignored."""
     m = nf.modulus
     n = len(nf.support)
     J = _cache_key(nf)
@@ -223,7 +221,6 @@ def _cache_load(directory, nf):
     if (
         not isinstance(data, dict)
         or data.get("version") != CACHE_VERSION
-        or data.get("engine") != ENGINE_FINGERPRINT
         or data.get("m") != m
         or data.get("J") != J
     ):
@@ -259,7 +256,6 @@ def _cache_store(directory, nf, width, block):
         "version": CACHE_VERSION,
         "m": m,
         "J": J,
-        "engine": ENGINE_FINGERPRINT,
         "count": len(block) // (len(nf.support) * width),
         "solutions": base64.b64encode(block).decode("ascii"),
     }
@@ -315,9 +311,9 @@ def cmd_enumerate(args):
             _cache_store(args.cache, nf, width, block)
     else:
         width, block = hit
-    elapsed_ms = int((time.monotonic() - started) * 1000)
     writer = _RecordWriter(args.format, width, letters, out)
     count = writer.write(writer.rows([block]))
+    elapsed_ms = int((time.monotonic() - started) * 1000)
     _emit_summary(m, count, elapsed_ms, args.format, err)
     return EXIT_OK
 
@@ -328,12 +324,12 @@ def cmd_solve(args):
         raise DomainError(f"--max-rows must be >= 0, got {args.max_rows}")
     coeffs = _parse_int_list(args.coeffs, "coefficient")
     inst = CongruenceInstance(args.modulus, coeffs)
+    started = time.monotonic()
     plan = build_plan(inst)
     normal = enumerate_normal_form(NormalForm(plan.modulus, plan.support))
     if args.count_only:
         print(count_general(plan, normal), file=out)
         return EXIT_OK
-    started = time.monotonic()
     width, blocks = lift_blocks(plan, normal)
     # the weight is taken over the coefficients reduced mod m
     writer = _RecordWriter(args.format, width, inst.coefficients, out)
@@ -363,9 +359,10 @@ def cmd_extremal(args):
                 separators=(",", ":"),
             )
         else:
+            index = "-" if sol.generator_index is None else sol.generator_index
             line = (
                 f"x=({','.join(str(c) for c in sol.vector)}) "
-                f"class={sol.width_class} i={sol.generator_index}"
+                f"class={sol.width_class} i={index}"
             )
         print(line, file=out)
     print(f"m={args.m} extremal_count={len(extremal)}", file=err)
@@ -480,7 +477,7 @@ def _verify_invariants(args, checks):
         checks.append((f"oracle equivalence m={m}", same))
     for m in range(4, min(args.m_max, 16) + 1):
         ok = not any(bound_violations(x, m) for x in enumerate_standard(m).solutions)
-        checks.append((f"bound theorems (unpruned engine) m={m}", ok))
+        checks.append((f"bound theorems m={m}", ok))
 
 
 def cmd_verify(args):

@@ -49,8 +49,6 @@ from .core import (
     refuse_deep_walk,
 )
 
-ENGINE_FINGERPRINT = "closing-letter/2"
-
 POINT_BUDGET = 50_000_000
 
 

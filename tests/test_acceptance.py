@@ -92,13 +92,13 @@ def test_criterion_3_oracle_equivalence():
     report("criterion 3: oracle equivalence, exact", not failures, "; ".join(failures))
 
 
-def test_criterion_4_bound_theorems_unpruned():
+def test_criterion_4_bound_theorems():
     violations = []
     for m in range(4, 17):
         for x in enumerate_standard(m).solutions:
             violations.extend((m, x, name) for name in bound_violations(x, m))
     report(
-        "criterion 4: bound theorems on the unpruned engine, zero violations",
+        "criterion 4: bound theorems on every listed atom, zero violations",
         not violations,
         f"{len(violations)} violations" if violations else "",
     )
@@ -160,7 +160,7 @@ def test_criterion_6_appendix_suite():
     )
 
 
-def test_criterion_7_thread_determinism(capsys, tmp_path):
+def test_criterion_7_byte_identical_output(capsys, tmp_path):
     """stdout is byte-identical across reruns, and between a cold run that
     stores the cache and a cache hit."""
     runs = [

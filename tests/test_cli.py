@@ -115,12 +115,14 @@ def test_cache_round_trip(tmp_path, capsys):
 
 
 def test_cache_fingerprint_invalidation(tmp_path, capsys):
+    # a file is fixed by its version, m and J: one of another version is
+    # recomputed, whatever its rows
     cache = str(tmp_path / "cache")
     run_cli(["enumerate", "7", "--cache", cache], capsys)
     path = os.path.join(cache, "enum-m7.json")
     with open(path) as fh:
         data = json.load(fh)
-    data["engine"] = "someone-else"
+    data["version"] = 2
     data["solutions"] = []
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -202,7 +204,6 @@ MALFORMED_CACHE = {
     # version 2 packed little-endian digits as wide as m needs
     "version-2": _set(version=2),
     "version-4": _set(version=4),
-    "other-engine": _set(engine="someone-else"),
     "other-m": _set(m=8),
     "other-J": _set(J=[1, 2, 3, 4, 5, 6]),
 }
@@ -240,7 +241,6 @@ def test_deeply_nested_cache_is_a_miss(tmp_path, capsys):
 def test_uncacheable_moduli(tmp_path, capsys):
     from congruence_atoms.cli import CACHE_VERSION
     from congruence_atoms.core import DomainError, digit_width, row_width
-    from congruence_atoms.enumeration import ENGINE_FINGERPRINT
 
     # the cache and the lift share one width rule: the narrowest of 1, 2,
     # 4 or 8 bytes that holds the largest coordinate
@@ -255,8 +255,7 @@ def test_uncacheable_moduli(tmp_path, capsys):
     os.makedirs(cache)
     with open(os.path.join(cache, "enum-m1.json"), "w") as fh:
         json.dump(
-            {"version": CACHE_VERSION, "m": 1, "J": None, "engine": ENGINE_FINGERPRINT,
-             "count": 0, "solutions": ""},
+            {"version": CACHE_VERSION, "m": 1, "J": None, "count": 0, "solutions": ""},
             fh,
         )
     code, out, err = run_cli(["enumerate", "1", "--cache", cache], capsys)
@@ -270,13 +269,42 @@ def test_cache_file_layout(tmp_path, capsys):
     run_cli(["enumerate", "7", "--cache", cache], capsys)
     with open(os.path.join(cache, "enum-m7.json")) as fh:
         data = json.load(fh)
-    assert list(data) == ["version", "m", "J", "engine", "count", "solutions"]
+    assert list(data) == ["version", "m", "J", "count", "solutions"]
     assert data["version"] == 3 and data["count"] == 47
     solutions = enumerate_standard(7).solutions
     # one byte per coordinate, row-major
     assert base64.b64decode(data["solutions"]) == bytes(
         c for x in solutions for c in x
     )
+
+
+@pytest.mark.parametrize(
+    "stamp", ['"engine":"closing-letter/2",', ""], ids=["parent-key", "no-key"]
+)
+def test_version_3_file_is_a_hit_with_or_without_an_engine_key(
+    tmp_path, capsys, monkeypatch, stamp
+):
+    # version-3 files were once written with an "engine" key; the block is
+    # the same either way, so both files are hits and print the cold bytes
+    from congruence_atoms import enumerate_standard
+
+    _, cold, _ = run_cli(["enumerate", "7"], capsys)
+    block = bytes(c for x in enumerate_standard(7).solutions for c in x)
+    whole = (
+        '{"version":3,"m":7,"J":null,%s"count":47,"solutions":"%s"}\n'
+        % (stamp, base64.b64encode(block).decode("ascii"))
+    ).encode("ascii")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "enum-m7.json").write_bytes(whole)
+
+    def no_engine(nf):
+        raise AssertionError("a cache hit must not reach the engine")
+
+    monkeypatch.setattr(cli, "enumerate_normal_form", no_engine)
+    code, out, _ = run_cli(["enumerate", "7", "--cache", str(cache)], capsys)
+    assert (code, out) == (0, cold)
+    assert (cache / "enum-m7.json").read_bytes() == whole  # not rewritten
 
 
 @pytest.mark.parametrize("m, code", [(65536, ">I"), (2**32, ">Q")])
@@ -492,7 +520,6 @@ def test_bad_support_is_one_error_on_every_path(capsys, support):
 
 def test_bad_support_never_reads_the_cache(tmp_path, capsys):
     from congruence_atoms.cli import CACHE_VERSION
-    from congruence_atoms.enumeration import ENGINE_FINGERPRINT
 
     # a well-formed file for the letter set {5}, which no path accepts;
     # no NormalForm holds it, so _cache_store cannot write it
@@ -502,7 +529,6 @@ def test_bad_support_never_reads_the_cache(tmp_path, capsys):
         "version": CACHE_VERSION,
         "m": 5,
         "J": [5],
-        "engine": ENGINE_FINGERPRINT,
         "count": 1,
         "solutions": base64.b64encode(bytes([1])).decode("ascii"),
     }
@@ -805,6 +831,42 @@ def test_solve_fields_match_their_recomputation(capsys, fmt):
         checked += 1
 
 
+EXTREMAL_TEXT = {
+    3: "x=(0,3) class=width1 i=2\n"
+    "x=(1,1) class=width2 i=1\n"
+    "x=(3,0) class=width1 i=1\n",
+    6: "x=(0,0,0,0,6) class=width1 i=5\n"
+    "x=(0,0,0,1,4) class=width2 i=5\n"
+    "x=(0,2,1,0,1) class=exceptional i=-\n"
+    "x=(1,0,1,2,0) class=exceptional i=-\n"
+    "x=(4,1,0,0,0) class=width2 i=1\n"
+    "x=(6,0,0,0,0) class=width1 i=1\n",
+}
+
+EXTREMAL_JSON = {
+    3: '{"coords":[0,3],"class":"width1","generator_index":2}\n'
+    '{"coords":[1,1],"class":"width2","generator_index":1}\n'
+    '{"coords":[3,0],"class":"width1","generator_index":1}\n',
+    6: '{"coords":[0,0,0,0,6],"class":"width1","generator_index":5}\n'
+    '{"coords":[0,0,0,1,4],"class":"width2","generator_index":5}\n'
+    '{"coords":[0,2,1,0,1],"class":"exceptional","generator_index":null}\n'
+    '{"coords":[1,0,1,2,0],"class":"exceptional","generator_index":null}\n'
+    '{"coords":[4,1,0,0,0],"class":"width2","generator_index":1}\n'
+    '{"coords":[6,0,0,0,0],"class":"width1","generator_index":1}\n',
+}
+
+
+@pytest.mark.parametrize("m", [3, 6])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_extremal_golden_records(capsys, m, fmt):
+    # an exceptional solution has no generator index: json prints null,
+    # text prints "-", as diversity prints a missing witness
+    golden = (EXTREMAL_TEXT if fmt == "text" else EXTREMAL_JSON)[m]
+    code, out, err = run_cli(["extremal", str(m), "--format", fmt], capsys)
+    assert (code, out) == (0, golden)
+    assert err == f"m={m} extremal_count={len(golden.splitlines())}\n"
+
+
 def test_extremal_command(capsys):
     code, out, _ = run_cli(["extremal", "6", "--format", "json"], capsys)
     assert code == 0
@@ -915,6 +977,44 @@ def test_walk_that_cannot_finish_is_refused_before_its_tables(argv):
         capture_output=True,
         text=True,
         timeout=10,
+        preexec_fn=cap,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "budget exceeded: the closing-letter walk is deeper than the recursion limit\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "988027", "--support", "991,997"],
+        ["enumerate", "988027", "--support", "991,997", "--count-only"],
+        ["solve", "--modulus", "988027", "--coeffs", "997,991,991"],
+    ],
+    ids=["enumerate", "count-only", "solve"],
+)
+def test_walk_that_outruns_the_recursion_limit_is_refused_as_it_runs(argv):
+    # 991 and 997 are prime, and 988027 = 991 * 997, so the letters have
+    # orders 997 and 991: each passes the check before the tables, yet
+    # 996 letters 991 and 990 letters 997 are zero-sum-free, a walk 1,986
+    # letters deep.  The RecursionError is a budget refusal, not a
+    # traceback.  A 1 GB address space, as above
+    import resource
+
+    from congruence_atoms.core import refuse_deep_walk
+
+    refuse_deep_walk(988027, (991, 997))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_atoms.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
         preexec_fn=cap,
     )
     assert proc.returncode == 3
@@ -1046,21 +1146,50 @@ def test_little_endian_version_2_file_is_a_miss(tmp_path, capsys):
     # the file that version 2 wrote for these atoms: two-byte digits,
     # little-endian.  Read as version 3's big-endian digits its rows would
     # be (0, 2), (256, 1) and (512, 0), each within 0..m
-    from congruence_atoms.enumeration import ENGINE_FINGERPRINT
-
     argv = ["enumerate", "512", "--support", "256,511", "--format", "csv"]
     _, cold, _ = run_cli(argv, capsys)
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "enum-m512-J256-511.json").write_text(
-        '{"version":2,"m":512,"J":[256,511],"engine":%s,"count":3,'
-        '"solutions":"AAAAAgEAAAECAAAA"}\n' % json.dumps(ENGINE_FINGERPRINT)
+        '{"version":2,"m":512,"J":[256,511],"engine":"closing-letter/2","count":3,'
+        '"solutions":"AAAAAgEAAAECAAAA"}\n'
     )
     code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert (code, out) == (0, cold)
     assert "0;512,512,1,261632,513" in cold.splitlines()
     data = json.loads((cache / "enum-m512-J256-511.json").read_text())
     assert data["version"] == 3  # rewritten
+
+
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        (["enumerate", "7", "--format", "csv"], 1),
+        (["solve", "--modulus", "7", "--coeffs", "1,2,3"], 2),
+    ],
+    ids=["enumerate", "solve"],
+)
+def test_elapsed_ms_covers_every_step(capsys, monkeypatch, argv, seconds):
+    # a clock that only the record writer and solve's build_plan move, by
+    # one second each: elapsed_ms runs from the first step of work to the
+    # last record
+    import types
+
+    now = [0.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+
+    def slow(step):
+        def run(*args):
+            now[0] += 1.0
+            return step(*args)
+
+        return run
+
+    monkeypatch.setattr(cli._RecordWriter, "write", slow(cli._RecordWriter.write))
+    monkeypatch.setattr(cli, "build_plan", slow(cli.build_plan))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err.endswith(f" elapsed_ms={seconds * 1000}\n")
 
 
 def test_diversity_command(capsys):
