@@ -7,11 +7,13 @@ the class I_r in every possible way.  Letter 0 is an ordinary letter:
 its one atom e_0 lifts to the unit rows of the zero class.  The lift is
 streamed in lexicographic order by a walk over the index positions that
 builds and sorts one bounded bucket of rows at a time, so its memory
-does not grow with the number of rows.  While a row is built and sorted
-it is one int, each coordinate a digit of a fixed byte width, so numeric
-order is lexicographic order; a sorted bucket becomes one block of rows
-in `core`'s packed-row format, which `lift_solutions` decodes to tuples
-in one call and a record writer can read as it is.
+does not grow with the number of rows.  The first row comes alone, from
+one path down the walk to a node of one row, before any other bucket is
+built.  While a row is built and sorted it is one int, each coordinate a
+digit of a fixed byte width, so numeric order is lexicographic order; a
+sorted bucket becomes one block of rows in `core`'s packed-row format,
+which `lift_solutions` decodes to tuples in one call and a record writer
+can read as it is.
 """
 
 from __future__ import annotations
@@ -104,9 +106,14 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     and how much of each residue class the prefix has placed.  At the
     last index of a class the value is forced per atom; elsewhere it
     runs 0, 1, ... up to the largest remainder.  A node whose subtree
-    holds at most `BUCKET_ROWS` rows is built whole and sorted.  Besides
-    the atoms, the stream holds at most n sorted lists of them on the
-    stack and one bucket of rows at a time, however many rows there are.
+    holds at most `BUCKET_ROWS` rows is built whole and sorted.  The
+    first block is the first row alone: one path down the walk, taking
+    the first child until a node holds one row, finds it before any
+    other bucket is built, and the walk's first bucket then leaves it
+    out, so the blocks joined are the same rows as without it.
+    Besides the atoms, the stream holds at most n sorted lists of them on
+    the stack and one bucket of rows at a time, however many rows there
+    are; the first path's stack is dropped once its row is yielded.
 
     A row is the int sum of x_i * B^(n-1-i) while it is built and
     sorted, with B = 2^(8w) and w = `core.row_width` of the atoms (no
@@ -187,7 +194,10 @@ def _children(prefix, p, placed, atoms, s, last, unit):
 
 def _buckets(plan, solutions, width):
     """The walk of `lift_blocks`: its buckets in order, each a block of
-    sorted rows with coordinates `width` bytes wide."""
+    sorted rows with coordinates `width` bytes wide.  The first block is
+    the first row alone, found by one path down the walk with a bucket
+    limit of one row; the walk at `BUCKET_ROWS` then follows, its first
+    bucket without that row."""
     # slot s of an atom is its total on the s-th class, the s-th letter
     # of the support
     classes = list(plan.index_classes.values())
@@ -207,18 +217,36 @@ def _buckets(plan, solutions, width):
     place = [1 << 8 * width * (n - 1 - i) for i in range(n)]
     tables = _Tables(classes, place)
     size = n * width
-    stack = [iter([(0, 0, (0,) * len(classes), solutions)])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        prefix, p, placed, atoms = node
-        if p < n and not _rows_at_most(BUCKET_ROWS, atoms, placed, left[p]):
-            stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], place[p]))
-        else:
-            rows = _bucket_rows(prefix, placed, atoms, left[p], tables)
-            yield b"".join(map(int.to_bytes, rows, repeat(size), repeat("big")))
+
+    def walk(limit):
+        # the sorted rows of each subtree of at most `limit` rows, in order
+        stack = [iter([(0, 0, (0,) * len(classes), solutions)])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            prefix, p, placed, atoms = node
+            if p < n and not _rows_at_most(limit, atoms, placed, left[p]):
+                stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], place[p]))
+            else:
+                yield _bucket_rows(prefix, placed, atoms, left[p], tables)
+
+    def block(rows):
+        return b"".join(map(int.to_bytes, rows, repeat(size), repeat("big")))
+
+    # a node with an atom holds a row, so at a limit of one row the first
+    # bucket is the smallest row; with no atoms it is empty
+    first = next(walk(min(1, BUCKET_ROWS)))
+    if not first:
+        return
+    yield block(first)
+    buckets = walk(BUCKET_ROWS)
+    # the first bucket is sorted and holds that row at its front
+    rest = next(buckets)[1:]
+    if rest:
+        yield block(rest)
+    yield from map(block, buckets)
 
 
 def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult):

@@ -775,6 +775,19 @@ def test_solve_streams_the_first_rows_of_a_huge_lift(capsys):
     assert "output capped at 5 rows" in err
 
 
+def test_solve_max_rows_0_builds_only_the_first_row(capsys, buckets_built):
+    # the first row comes alone, so a cap of 0 reads it to tell that the
+    # output was capped and builds no bucket of the other 9.8e13 rows
+    coeffs = ",".join(["1"] * 40)
+    code, out, err = run_cli(
+        ["solve", "--modulus", "17", "--coeffs", coeffs, "--max-rows", "0"], capsys
+    )
+    assert code == 0
+    assert out == ""
+    assert "output capped at 0 rows" in err
+    assert buckets_built == [1]
+
+
 def _parse_record(line, fmt):
     """(coords, (length, width, weight, total_size)) of one record."""
     if fmt == "json":

@@ -18,7 +18,7 @@ from congruence_atoms import (
     naive_minimal_solutions,
     reduction,
 )
-from congruence_atoms.core import compositions
+from congruence_atoms.core import compositions, row_struct, row_width
 
 
 def normal_for(plan):
@@ -277,6 +277,50 @@ THREE_CLASSES = (
     13, 14, 7, 16, 12, 9, 8, 4, 16, 13, 14, 9, 13, 1, 5,
     7, 7, 5, 1, 14, 12, 4, 1, 9, 4, 5, 8, 8, 12, 16,
 )
+
+
+def packed_reference(plan, normal):
+    """`reference_lift` in the packed-row format of `lift_blocks`, one
+    block."""
+    n = sum(map(len, plan.index_classes.values()))
+    pack = row_struct(n, row_width(normal.solutions)).pack
+    return b"".join(pack(*row) for row in reference_lift(plan, normal))
+
+
+@pytest.mark.parametrize("bucket_rows", [0, 1, None])
+def test_first_row_comes_alone(bucket_rows, monkeypatch, buckets_built):
+    # the first block is the first row, built from one bucket of one row
+    # before any other; it is not printed again in the next block
+    if bucket_rows is not None:
+        monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
+    plans = equality_instances(400, 400)
+    if bucket_rows is None:
+        # 285,900 rows; the first bucket at the default limit holds 3,813
+        plans.append(build_plan(CongruenceInstance(17, THREE_CLASSES)))
+    for plan in plans:
+        normal = normal_cached(plan)
+        expected = packed_reference(plan, normal)
+        size = len(expected) // count_general(plan, normal)
+        buckets_built.clear()
+        _, blocks = reduction.lift_blocks(plan, normal)
+        first = next(blocks)
+        assert buckets_built == [1], plan
+        assert first == expected[:size], plan
+        assert first + b"".join(blocks) == expected, plan
+
+
+def test_lift_of_one_row_is_one_block():
+    # no empty block follows the first row when the lift holds no other
+    plan = build_plan(CongruenceInstance(5, (0,)))
+    assert list(reduction.lift_blocks(plan, normal_for(plan))[1]) == [b"\x01"]
+    assert list(reduction.lift_blocks(*one_atom(300))[1]) == [b"\x01\x2c"]
+
+
+def test_lift_of_no_atoms_yields_no_row():
+    plan = build_plan(CongruenceInstance(7, (3,)))
+    none = EnumerationResult(7, plan.support, ())
+    assert list(reduction.lift_blocks(plan, none)[1]) == []
+    assert list(lift_solutions(plan, none)) == []
 
 
 def test_first_row_does_not_wait_for_the_whole_lift():
