@@ -1,22 +1,19 @@
 """Closed-form bounds on the number of indecomposable solutions.
 
-All counting is exact; the one real-valued bound (bound_r) is evaluated
-with mpmath at high precision and floored, with a perturbation check
-that the floor is stable.
+All arithmetic is exact and in integers.  The one real-valued bound,
+r(m), needs pi: Machin's formula gives integers lo < pi * 2**bits < hi,
+and the floor of r(m) is taken from both ends, with more bits until the
+two agree, so it is proven.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
 
 from .core import DomainError, binomial
 from .enumeration import count_letters
 from . import tables
-
-# working precision for bound_r / stirling_central (significant digits)
-REAL_PRECISION_DPS = 50
 
 
 def bound_simplex(n, m):
@@ -26,25 +23,50 @@ def bound_simplex(n, m):
     return binomial(n + m - 1, m)
 
 
+def _pi_bracket(bits):
+    """Integers lo < pi * 2**bits < hi, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in fixed point.  Each term is off by
+    less than one unit (a floor of a floor is the floor), and so is the
+    alternating tail after the last non-zero power."""
+
+    def atan_inv(x):
+        # atan(1/x) * 2**bits, and the units it can be off by
+        power = (1 << bits) // x
+        total, k = 0, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= x * x
+            k += 1
+        return total, k + 1
+
+    a5, err5 = atan_inv(5)
+    a239, err239 = atan_inv(239)
+    mid, err = 16 * a5 - 4 * a239, 16 * err5 + 4 * err239
+    return mid - err, mid + err
+
+
+def _floor_r(m, bits):
+    """r(m) = isqrt(floor(16**(m-1) / (4 pi (m-1)))), since the floor of
+    a square root is the isqrt of the floor.  Both ends of the pi bracket
+    give a floor; where they differ, the bracket doubles its bits.  The
+    real 16**(m-1) / (4 pi (m-1)) is irrational, so no perfect square, and
+    the two floors agree in the end."""
+    while True:
+        lo, hi = _pi_bracket(bits)
+        scaled = 16 ** (m - 1) << bits
+        low = math.isqrt(scaled // (4 * (m - 1) * hi))
+        if low == math.isqrt(scaled // (4 * (m - 1) * lo)):
+            return low
+        bits *= 2
+
+
 def bound_r(m):
     """Floor of 4^(m-1) / (2 sqrt(pi) sqrt(m-1)), exact floor guaranteed."""
     if m < 2:
         raise DomainError("bound_r needs m >= 2")
-    import mpmath  # imported on first use: only the real-valued bounds need it
-
-    # 0.602*(m-1) digits land left of the point; keep headroom beyond them
-    with mpmath.workdps(max(REAL_PRECISION_DPS, m)):
-        power = mpmath.mpf(4 ** (m - 1))  # exact integer input
-        denom = 2 * mpmath.sqrt(mpmath.pi) * mpmath.sqrt(m - 1)
-        value = power / denom
-        # a relative 10^(10 - dps) is far above the rounding error; value
-        # has about 0.6 m digits and dps >= max(50, m), so it is below one
-        eps = mpmath.mpf(10) ** (10 - mpmath.mp.dps)
-        lo = int(mpmath.floor(value * (1 - eps)))
-        hi = int(mpmath.floor(value * (1 + eps)))
-    if lo != hi:
-        raise ArithmeticError(f"floor of r({m}) unstable at working precision")
-    return lo
+    # r(m) has about 2m bits; 64 more leave no second round for m <= 3000
+    return _floor_r(m, 2 * m + 64)
 
 
 def bound_q(m):
@@ -71,19 +93,19 @@ def stirling_central(n):
 
     Returns (value, (lower, upper)) where value = (4^n / sqrt(pi n)) * E_n
     and the bracket (e^{-1/(6n)}, 1) provably contains E_n; the bracket
-    is also asserted numerically.
+    is also checked in integers: E_n < 1 iff value**2 pi n < 16**n, and
+    by e^x >= 1 + x, E_n > e^{-1/(6n)} once value**2 pi (3n+1) > 3 * 16**n.
     """
     if n < 1:
         raise DomainError("stirling_central needs n >= 1")
     value = math.comb(2 * n, n)
-    import mpmath
-
-    with mpmath.workdps(REAL_PRECISION_DPS):
-        e_n = mpmath.mpf(value) * mpmath.sqrt(mpmath.pi * n) / mpmath.mpf(4**n)
-        lower = mpmath.e ** (mpmath.mpf(-1) / (6 * n))
-        if not lower < e_n < 1:
-            raise ArithmeticError(f"Stirling bracket violated at n={n}")
-        return value, (float(lower), 1.0)
+    # the two sides hold by relative margins of about 1/(8n) and 1/(12n)
+    bits = n.bit_length() + 64
+    lo, hi = _pi_bracket(bits)
+    square, power = value * value, 16**n << bits
+    if not (square * n * hi <= power and square * lo * (3 * n + 1) > 3 * power):
+        raise ArithmeticError(f"Stirling bracket violated at n={n}")
+    return value, (math.exp(-1 / (6 * n)), 1.0)
 
 
 # P(0), P(1), ...: partition_count extends it bottom-up as far as needed
@@ -110,12 +132,15 @@ def partition_count(m):
 
 
 def log2_rounded(value):
-    """log2 of a positive integer, rounded half-up to one decimal, as str."""
+    """log2 of a positive integer, rounded half-up to one decimal, as str.
+
+    value**20 has floor(20 log2 value) + 1 bits, so half its bit length,
+    floored, is 10 log2 value rounded half up; no tie occurs, since
+    value**20 is never an odd power of 2."""
     if value < 1:
         raise DomainError("log2 needs a positive count")
-    return str(
-        Decimal(repr(math.log2(value))).quantize(Decimal("0.1"), ROUND_HALF_UP)
-    )
+    k = (value**20).bit_length() // 2
+    return f"{k // 10}.{k % 10}"
 
 
 @dataclass(frozen=True)
@@ -156,8 +181,9 @@ def bounds_row(m, with_enumeration=False):
 
 def table2_rows(m_min, m_max, with_enumeration=False):
     """The rows m_min..m_max, each made as it is read; the range is
-    checked at once.  A row costs about m**2.5 (bound_r's precision grows
-    with m), so a reader can print each one before the next is made."""
+    checked at once.  A row costs about m**2.6, nearly all of it bound_q's
+    sum of products of m-bit binomials (0.9 s at m = 4000), so a reader
+    can print each one before the next is made."""
     if not 4 <= m_min <= m_max:
         raise DomainError("need 4 <= m_min <= m_max")
     return (bounds_row(m, with_enumeration) for m in range(m_min, m_max + 1))

@@ -45,7 +45,6 @@ from .core import (
     check_vector,
     closure_step,
     compositions,
-    euler_phi,
     refuse_deep_walk,
 )
 
@@ -168,35 +167,42 @@ def count_letters(m, letters):
     increasing, in [0, m), checked by NormalForm), without building them.
 
     Over any alphabet but 1..m-1 this is _count_walk from the empty
-    multiset with nothing marked.  Over 1..m-1 it counts by unit orbits.
-    Multiplying every letter by a unit u of Z_m is an automorphism, so it
-    maps the atoms one-to-one onto the atoms, and it keeps u(S), the number
-    of distinct unit letters of S.  Give an atom with a unit letter the
-    weight 1/u(S) at each of its units: its weights sum to 1, and every
-    unit letter carries the same total as letter 1.  So
+    multiset with nothing marked.  Over 1..m-1 it counts by gcd classes
+    C_d = {a : gcd(a, m) = d} = d * U(Z_{m/d}), d | m, d < m.  Multiplying
+    every letter by a unit of Z_m is an automorphism, so it maps the atoms
+    one-to-one onto the atoms; it keeps every class, and the units act
+    transitively on each.  Give an atom S whose least letter gcd is d the
+    weight 1/u_d(S) at each of its u_d(S) distinct letters in C_d: its
+    weights sum to 1, and every letter of C_d carries the same total as
+    letter d.  So
 
-        l(m) = phi(m) * sum over atoms S containing 1 of 1/u(S)
-               + the number of atoms with no unit letter.
+        l(m) = sum over d | m, d < m, of |C_d| * sum over atoms S
+               containing d, every letter of gcd >= d, of 1/u_d(S).
 
-    The sum is one walk from the node "one copy of letter 1" with the
-    units marked: its K digits d_k count the atoms S containing 1 with
-    u(S) = k + 1, and the sum is taken exactly as sum d_k * L/(k + 1) over
-    L = lcm(1..K).  The last term is the unmarked walk over the non-units.
+    Each inner sum is one walk from the node "one copy of letter d" over
+    the letters of gcd >= d (d is the least of them) with C_d marked: its
+    K digits e_k count the atoms S with u_d(S) = k + 1, and the sum is
+    taken exactly as sum e_k * L/(k + 1) over L = lcm(1..K).
     """
     nf = NormalForm(m, letters)
     if not nf.is_standard:
         return _count_walk(m, nf.support)
-    units = frozenset(a for a in nf.support if math.gcd(a, m) == 1)
-    value = _count_walk(m, nf.support, units, (0, closure_step(0, 1, m), 1 % m))
     digit = (1 << 2 * m) - 1
-    digits = [value >> k & digit for k in range(0, value.bit_length(), 2 * m)]
-    common = math.lcm(*range(1, len(digits) + 1))
-    weighted = sum(d * (common // u) for u, d in enumerate(digits, 1))
-    with_units, remainder = divmod(euler_phi(m) * weighted, common)
-    if remainder:
-        raise ArithmeticError(f"the unit orbits of the atoms mod {m} do not divide")
-    nonunits = tuple(a for a in nf.support if a not in units)
-    return with_units + (_count_walk(m, nonunits) if nonunits else 0)
+    total = 0
+    for d in (d for d in nf.support if m % d == 0):
+        alphabet = tuple(a for a in nf.support if math.gcd(a, m) >= d)
+        marked = frozenset(a for a in alphabet if math.gcd(a, m) == d)
+        value = _count_walk(m, alphabet, marked, (0, closure_step(0, d, m), d))
+        digits = [value >> k & digit for k in range(0, value.bit_length(), 2 * m)]
+        common = math.lcm(*range(1, len(digits) + 1))
+        weighted = sum(e * (common // u) for u, e in enumerate(digits, 1))
+        count, remainder = divmod(len(marked) * weighted, common)
+        if remainder:
+            raise ArithmeticError(
+                f"the class of gcd {d} of the atoms mod {m} does not divide"
+            )
+        total += count
+    return total
 
 
 def enumerate_standard(m):

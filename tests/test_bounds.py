@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 from itertools import combinations
 
 import pytest
@@ -18,7 +20,7 @@ from congruence_atoms import (
     support_capacity,
     table2,
 )
-from congruence_atoms import tables
+from congruence_atoms import bounds, tables
 
 
 def test_bound_simplex_examples():
@@ -147,14 +149,61 @@ def test_bound_r_floor_is_exact_past_the_table():
             assert scale * n**2 <= 16 ** (m - 1) < scale * (n + 1) ** 2, m
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # only the real-valued bounds need mpmath; they import it on first use
+def test_pi_bracket_holds():
+    # lo < pi * 2**bits < hi, against pi at twice the bits' precision
+    import mpmath
+
+    for bits in (*range(1, 80), 256, 1000, 4096):
+        lo, hi = bounds._pi_bracket(bits)
+        with mpmath.workprec(2 * bits + 64):
+            assert lo < mpmath.pi * 2**bits < hi, bits
+
+
+def test_bound_r_pinned_at_large_moduli():
+    # the sha256 of the decimal digits of r(1000) and r(4000), as the
+    # mpmath floor gave them
+    for m, digits, sha in (
+        (1000, 600, "80e69ad167964f2114cab03f95886e81466e308183f077131f5fbcf760ad70ca"),
+        (4000, 2406, "f893760c2bc506638427c4e5ebb3fbd0308b79272187a3da9ee0c8dd0b8b3280"),
+    ):
+        text = str(bound_r(m))
+        assert len(text) == digits, m
+        assert hashlib.sha256(text.encode()).hexdigest() == sha, m
+
+
+def test_floor_r_doubles_a_bracket_too_coarse_to_decide(monkeypatch):
+    # at 8 bits the two ends of the pi bracket give different floors, so
+    # the bits double until they agree: 3 rounds at m = 12, 8 at m = 300
+    import mpmath
+
+    rounds = []
+    pi_bracket = bounds._pi_bracket
+
+    def spy(bits):
+        rounds.append(bits)
+        return pi_bracket(bits)
+
+    monkeypatch.setattr(bounds, "_pi_bracket", spy)
+    assert bounds._floor_r(12, 8) == tables.R[12]
+    assert rounds == [8, 16, 32]
+    rounds.clear()
+    n = bounds._floor_r(300, 8)
+    assert rounds == [8 << k for k in range(8)]
+    with mpmath.workdps(900):
+        scale = 4 * mpmath.pi * 299
+        assert scale * n**2 <= 16**299 < scale * (n + 1) ** 2
+
+
+def test_package_never_imports_mpmath():
+    # with mpmath unimportable, r(m), the Stirling bracket and a live
+    # bounds table still run: mpmath serves only the tests as an oracle
     code = (
         "import sys\n"
-        "import congruence_atoms.cli\n"
-        "print('mpmath' in sys.modules)\n"
-        "from congruence_atoms.bounds import bound_r\n"
-        "print(bound_r(12), 'mpmath' in sys.modules)\n"
+        "sys.modules['mpmath'] = None\n"
+        "from congruence_atoms import cli\n"
+        "from congruence_atoms.bounds import bound_r, stirling_central\n"
+        "print(bound_r(12), stirling_central(10)[0])\n"
+        "sys.exit(cli.main(['bounds', '4', '40', '--live']))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -162,7 +211,12 @@ def test_cli_import_leaves_mpmath_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", str(tables.R[12]), "True"]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"{tables.R[12]} {math.comb(20, 10)}"
+    assert [line.split(",")[0] for line in lines[2:]] == [
+        str(m) for m in range(4, 41)
+    ]
+    assert all(line.endswith(",enumerated") for line in lines[2:])
 
 
 def test_partition_count_runs_deep_in_a_fresh_interpreter():
@@ -214,6 +268,14 @@ def test_log2_rounding_convention():
     }
     assert mismatches == {3}
     assert log2_rounded(3) == "1.6"
+
+
+def test_log2_rounded_matches_the_float_rounding():
+    # the float log2, quantized half up as a Decimal, is the reference;
+    # the bit-length rounding is exact, and agrees with it on 1..10**5
+    for v in range(1, 10**5 + 1):
+        expected = Decimal(repr(math.log2(v))).quantize(Decimal("0.1"), ROUND_HALF_UP)
+        assert log2_rounded(v) == str(expected), v
 
 
 def test_table2_rows():

@@ -50,9 +50,10 @@ def test_counter_matches_engine_past_the_table():
         assert count_letters(m, range(1, m)) == enumerate_standard(m).count, m
 
 
-def test_orbit_count_matches_the_unmarked_walk_past_the_table():
-    # count_letters counts 1..m-1 by unit orbits; the same walk from the
-    # empty multiset with nothing marked counts every atom once
+def test_class_count_matches_the_unmarked_walk_past_the_table():
+    # count_letters counts 1..m-1 by gcd classes, one marked walk per
+    # divisor; the walk from the empty multiset with nothing marked
+    # counts every atom once
     for m in range(24, 29):
         letters = tuple(range(1, m))
         assert count_letters(m, letters) == _count_walk(m, letters), m
@@ -60,7 +61,7 @@ def test_orbit_count_matches_the_unmarked_walk_past_the_table():
 
 def test_counts_are_unit_invariant():
     # multiplying every letter by a unit u of Z_m maps the atoms over J
-    # one-to-one onto the atoms over uJ: the symmetry the orbit count of
+    # one-to-one onto the atoms over uJ: the symmetry the class count of
     # 1..m-1 rests on, checked here on the unmarked walk
     rng = random.Random(3096)
     for _ in range(200):
