@@ -162,33 +162,38 @@ class _RecordWriter:
         if fmt == "csv":
             out.write(CSV_HEADER + "\n")
 
-    def rows(self, blocks):
-        """The rows of the byte blocks, each as its three chunks."""
-        return chain.from_iterable(map(self.split, blocks))
-
-    def write(self, rows):
-        """Write the record of each row of `rows`; return their number."""
+    def write(self, blocks, cap=None):
+        """Write the records of the rows of the byte blocks, at most `cap`
+        if given; return their number and whether a row was left over."""
+        rows = chain.from_iterable(map(self.split, blocks))
+        shown = rows if cap is None else islice(rows, cap)
         first, second, third = self.chunks
         tails = self.tails
         write = self.out.write
         count = 0
-        for count, (a, b, c) in enumerate(rows, 1):
+        for count, (a, b, c) in enumerate(shown, 1):
             ta, la, wa, ga = first[a]
             tb, lb, wb, gb = second[b]
             tc, lc, wc, gc = third[c]
             write(ta + tb + tc + tails[la + lb + lc, wa + wb + wc, ga + gb + gc])
-        return count
+        # islice takes no row past the cap: a row left over means a cap
+        return count, next(rows, None) is not None
 
 
-def _emit_summary(m, count, elapsed_ms, fmt, err):
+def _print_records(fmt, m, width, letters, blocks, started, cap=None):
+    """The one record path of `enumerate` and `solve`: the records of the
+    rows of `blocks` on stdout, at most `cap`, then on stderr the cap note
+    if capped and the summary, its elapsed_ms from the time `started`."""
+    count, capped = _RecordWriter(fmt, width, letters, sys.stdout).write(blocks, cap)
+    if capped:
+        print(f"output capped at {cap} rows", file=sys.stderr)
+    elapsed_ms = int((time.monotonic() - started) * 1000)
+    summary = {"m": m, "count": count, "elapsed_ms": elapsed_ms}
     if fmt == "json":
-        line = json.dumps(
-            {"m": m, "count": count, "elapsed_ms": elapsed_ms},
-            separators=(",", ":"),
-        )
+        line = json.dumps(summary, separators=(",", ":"))
     else:
-        line = f"m={m} count={count} elapsed_ms={elapsed_ms}"
-    print(line, file=err)
+        line = " ".join(f"{key}={value}" for key, value in summary.items())
+    print(line, file=sys.stderr)
 
 
 def _cache_key(nf):
@@ -279,7 +284,6 @@ def _cache_store(directory, nf, width, block):
 
 
 def cmd_enumerate(args):
-    out, err = sys.stdout, sys.stderr
     if args.cache == "":
         raise DomainError("--cache needs a directory name")
     # the oracle checks the engine: it never reads or writes its cache
@@ -295,7 +299,7 @@ def cmd_enumerate(args):
         nf = NormalForm.standard(m)
     letters = nf.support
     if args.count_only:
-        print(count_letters(m, letters), file=out)
+        print(count_letters(m, letters))
         return EXIT_OK
     started = time.monotonic()
     hit = _cache_load(args.cache, nf) if args.cache else None
@@ -311,15 +315,11 @@ def cmd_enumerate(args):
             _cache_store(args.cache, nf, width, block)
     else:
         width, block = hit
-    writer = _RecordWriter(args.format, width, letters, out)
-    count = writer.write(writer.rows([block]))
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    _emit_summary(m, count, elapsed_ms, args.format, err)
+    _print_records(args.format, m, width, letters, [block], started)
     return EXIT_OK
 
 
 def cmd_solve(args):
-    out, err = sys.stdout, sys.stderr
     if args.max_rows is not None and args.max_rows < 0:
         raise DomainError(f"--max-rows must be >= 0, got {args.max_rows}")
     coeffs = _parse_int_list(args.coeffs, "coefficient")
@@ -328,20 +328,13 @@ def cmd_solve(args):
     plan = build_plan(inst)
     normal = enumerate_normal_form(NormalForm(plan.modulus, plan.support))
     if args.count_only:
-        print(count_general(plan, normal), file=out)
+        print(count_general(plan, normal))
         return EXIT_OK
     width, blocks = lift_blocks(plan, normal)
     # the weight is taken over the coefficients reduced mod m
-    writer = _RecordWriter(args.format, width, inst.coefficients, out)
-    rows = writer.rows(blocks)
-    shown = rows if args.max_rows is None else islice(rows, args.max_rows)
-    count = writer.write(shown)
-    # islice stops before it takes row max_rows + 1, so a row left over
-    # means the output was capped
-    if next(rows, None) is not None:
-        print(f"output capped at {args.max_rows} rows", file=err)
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    _emit_summary(args.modulus, count, elapsed_ms, args.format, err)
+    _print_records(
+        args.format, args.modulus, width, inst.coefficients, blocks, started, args.max_rows
+    )
     return EXIT_OK
 
 
@@ -515,7 +508,7 @@ def build_parser():
     p = sub.add_parser("enumerate", help="enumerate indecomposable solutions")
     p.add_argument("m", type=int)
     p.add_argument("--support", help="comma-separated coefficient set J")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.add_argument("--format", choices=tuple(_TEMPLATES), default="text")
     p.add_argument("--cache", help="directory for the result cache")
     p.add_argument("--naive", action="store_true", help="use the simplex oracle")
     p.add_argument(
@@ -529,7 +522,7 @@ def build_parser():
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--coeffs", required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.add_argument("--format", choices=tuple(_TEMPLATES), default="text")
     p.add_argument("--max-rows", type=int)
     p.set_defaults(func=cmd_solve)
 

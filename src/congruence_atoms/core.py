@@ -12,6 +12,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
 from struct import Struct
 
@@ -32,6 +33,12 @@ def closure_step(mask, t, m):
     # {t} is rot({0}, t); the bits shifted past m - 1 wrap round to 0
     shifted = (mask | 1) << t
     return mask | (shifted & ((1 << m) - 1)) | (shifted >> m)
+
+
+def closure_mask(items, m):
+    """`closure_step` folded over the items of a multiset of letters in
+    [0, m): its set bits are the non-empty sub-multiset sums mod m."""
+    return reduce(lambda mask, t: closure_step(mask, t, m), items, 0)
 
 
 TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 
 from .core import (
     TOO_DEEP,
@@ -43,6 +43,7 @@ from .core import (
     DomainError,
     NormalForm,
     check_vector,
+    closure_mask,
     closure_step,
     compositions,
     refuse_deep_walk,
@@ -62,15 +63,6 @@ class EnumerationResult:
     @property
     def count(self):
         return len(self.solutions)
-
-
-def _closure_mask(letters, counts, m):
-    """Bitmask of the non-empty sub-multiset sums mod m; letters lie in [0, m)."""
-    mask = 0
-    for t, c in zip(letters, counts):
-        for _ in range(c):
-            mask = closure_step(mask, t, m)
-    return mask
 
 
 def _walk_tables(m, letters, marked=(), width=0):
@@ -246,7 +238,8 @@ def is_indecomposable(coords, m, support=None):
     # is zero-sum-free (see the module docstring); drop the last one
     last = max(i for i, c in enumerate(coords) if c)
     rest = coords[:last] + (coords[last] - 1,) + coords[last + 1:]
-    return not _closure_mask(letters, rest, m) & 1
+    items = chain.from_iterable(map(repeat, letters, rest))
+    return not closure_mask(items, m) & 1
 
 
 def naive_minimal_solutions(m, weights):

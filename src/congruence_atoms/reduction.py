@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, groupby, product, repeat, starmap
 from math import comb, prod
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, lshift
 
 from .core import (
     CongruenceInstance,
@@ -59,18 +59,18 @@ def build_plan(inst: CongruenceInstance) -> ReductionPlan:
 class _Tables(dict):
     """For (remainder, class slot s, positions k left in the class): the
     packed values of the compositions of the remainder over the last k
-    indices of class s, tabulated once per key.  `place[i]` is the place
-    value of index i."""
+    indices of class s, tabulated once per key.  `shift[i]` is the bit
+    shift of index i's digit, so a value v there packs as v << shift[i]."""
 
-    def __init__(self, classes, place):
+    def __init__(self, classes, shift):
         super().__init__()
         self.classes = classes
-        self.place = place
+        self.shift = shift
 
     def __missing__(self, key):
         rem, s, k = key
-        units = [self.place[i] for i in self.classes[s][-k:]]
-        table = self[key] = tuple(sum(map(mul, c, units)) for c in compositions(rem, k))
+        shifts = [self.shift[i] for i in self.classes[s][-k:]]
+        table = self[key] = tuple(sum(map(lshift, c, shifts)) for c in compositions(rem, k))
         return table
 
 
@@ -170,17 +170,17 @@ def _bucket_rows(prefix, placed, atoms, left, tables):
     return rows
 
 
-def _children(prefix, p, placed, atoms, s, last, unit):
+def _children(prefix, p, placed, atoms, s, last, shift):
     """The children of a node of the walk at position p in order of the
-    value at p, which has place value `unit`, belongs to class slot s and
-    is the last index of that class if `last`."""
+    value at p, whose digit sits `shift` bits up, belongs to class slot s
+    and is the last index of that class if `last`."""
     done = placed[s]
     key = itemgetter(s)
     atoms = sorted(atoms, key=key)
     if last:
         # each atom forces the value; placed[s] is never read again
         for ys, group in groupby(atoms, key):
-            yield prefix + (ys - done) * unit, p + 1, placed, list(group)
+            yield prefix + ((ys - done) << shift), p + 1, placed, list(group)
         return
     # child v keeps the atoms with at least v of class s left: a suffix
     # of the sorted list
@@ -189,7 +189,7 @@ def _children(prefix, p, placed, atoms, s, last, unit):
         while atoms[start][s] - done < v:
             start += 1
         placed_v = placed[:s] + (done + v,) + placed[s + 1 :]
-        yield prefix + v * unit, p + 1, placed_v, atoms[start:]
+        yield prefix + (v << shift), p + 1, placed_v, atoms[start:]
 
 
 def _buckets(plan, solutions, width):
@@ -197,25 +197,29 @@ def _buckets(plan, solutions, width):
     sorted rows with coordinates `width` bytes wide.  The first block is
     the first row alone, found by one path down the walk with a bucket
     limit of one row; the walk at `BUCKET_ROWS` then follows, its first
-    bucket without that row."""
+    bucket without that row.  The position tables come from one backward
+    pass, and a digit is placed by a bit shift, not a power of two."""
     # slot s of an atom is its total on the s-th class, the s-th letter
     # of the support
     classes = list(plan.index_classes.values())
     n = sum(map(len, classes))
     slot = [0] * n
-    last = [False] * n
     for s, idxs in enumerate(classes):
         for i in idxs:
             slot[i] = s
-        last[idxs[-1]] = True
-    # left[p]: (slot, positions >= p) for the classes not complete
-    # before p
-    left = []
-    for p in range(n + 1):
-        counts = ((s, sum(i >= p for i in idxs)) for s, idxs in enumerate(classes))
-        left.append(tuple((s, k) for s, k in counts if k))
-    place = [1 << 8 * width * (n - 1 - i) for i in range(n)]
-    tables = _Tables(classes, place)
+    # one pass from the end, counting each class's positions: last[p]
+    # marks a class's last index, left[p] is (slot, positions >= p) per
+    # class not complete before p
+    last = [False] * n
+    left = [()] * (n + 1)
+    counts = [0] * len(classes)
+    for p in reversed(range(n)):
+        s = slot[p]
+        last[p] = not counts[s]
+        counts[s] += 1
+        left[p] = tuple((s, k) for s, k in enumerate(counts) if k)
+    shift = [8 * width * (n - 1 - i) for i in range(n)]
+    tables = _Tables(classes, shift)
     size = n * width
 
     def walk(limit):
@@ -228,7 +232,7 @@ def _buckets(plan, solutions, width):
                 continue
             prefix, p, placed, atoms = node
             if p < n and not _rows_at_most(limit, atoms, placed, left[p]):
-                stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], place[p]))
+                stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], shift[p]))
             else:
                 yield _bucket_rows(prefix, placed, atoms, left[p], tables)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BudgetExceeded, DomainError, check_letters, closure_step
+from .core import BudgetExceeded, DomainError, check_letters, closure_mask, closure_step
 
 SUBSET_SCAN_MAX_SIZE = 25
 SCAN_BUDGET = 5_000_000
@@ -72,11 +72,8 @@ def diversity(T: IndexSet) -> DiversityReport:
 def diversity_closure(T: IndexSet):
     """(admissible, diversity) via the incremental residue closure;
     independent of the subset scan above."""
-    mask = 0
-    for t in T.elements:
-        mask = closure_step(mask, t, T.modulus)
-    admissible = not mask & 1
-    return admissible, (mask | 1).bit_count()
+    mask = closure_mask(T.elements, T.modulus)
+    return not mask & 1, (mask | 1).bit_count()
 
 
 def family_Tma(m, a) -> IndexSet:

@@ -72,6 +72,28 @@ def test_bound_q_reference_row():
         bound_q(3)
 
 
+def test_bound_q_matches_the_binomial_sum():
+    # the term-ratio pass against the sum of products of binomials
+    for m in range(4, 601):
+        expected = sum(
+            math.comb(m - 1, s) * math.comb(m - s - 1, s - 1)
+            for s in range(1, m // 2 + 1)
+        )
+        assert bound_q(m) == expected, m
+
+
+def test_bound_q_pinned_at_large_moduli():
+    # the sha256 of the decimal digits of q(4000) and q(7143), as the
+    # binomial sum gave them
+    for m, digits, sha in (
+        (4000, 1906, "30e2ff172b179808a193c704c95ae258699941684103f5793a7cbab499942c6a"),
+        (7143, 3406, "f897ae6ac8c3942feb52bda520adde3135ae5a2a8a989eae0739bf4ac4d019da"),
+    ):
+        text = str(bound_q(m))
+        assert len(text) == digits, m
+        assert hashlib.sha256(text.encode()).hexdigest() == sha, m
+
+
 def test_bound_q_summand_identities():
     from congruence_atoms.core import binomial
 

@@ -775,6 +775,23 @@ def test_solve_streams_the_first_rows_of_a_huge_lift(capsys):
     assert "output capped at 5 rows" in err
 
 
+def test_solve_sets_up_a_long_coefficient_list_at_once(capsys):
+    # 20,001 coefficients in three classes mod 7: the lift's position
+    # tables come from one backward pass and place digits by shifts, so
+    # the first row comes long before 5 s; a set-up quadratic in n takes
+    # about 18 s here
+    coeffs = ",".join(["1,2,3"] * 6667)
+    started = time.monotonic()
+    code, out, err = run_cli(
+        ["solve", "--modulus", "7", "--coeffs", coeffs, "--max-rows", "1"], capsys
+    )
+    assert time.monotonic() - started < 5.0
+    assert code == 0
+    # the smallest row puts 7 on the last index, whose coefficient is 3
+    assert out == "x=(" + "0," * 20000 + "7) length=7 width=1 weight=21 total_size=8\n"
+    assert "output capped at 1 rows" in err
+
+
 def test_solve_max_rows_0_builds_only_the_first_row(capsys, buckets_built):
     # the first row comes alone, so a cap of 0 reads it to tell that the
     # output was capped and builds no bucket of the other 9.8e13 rows
@@ -926,8 +943,9 @@ def test_bounds_past_the_int_printing_limit_is_a_budget_refusal(m_min, m_max):
 
 
 def test_bounds_prints_each_row_as_it_is_made():
-    # the rows up to m = 7143 take hours in all; the header and the m = 4
-    # row must come at once.  The timer kills a child that holds them back
+    # the rows up to m = 7143 take about 90 s in all; the header and the
+    # m = 4 row must come at once.  The timer kills a child that holds
+    # them back
     proc = subprocess.Popen(
         [sys.executable, "-m", "congruence_atoms.cli", "bounds", "4", "7143"],
         stdout=subprocess.PIPE,

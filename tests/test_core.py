@@ -1,5 +1,5 @@
 import math
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,7 @@ from congruence_atoms import (
     leq,
     metrics,
 )
-from congruence_atoms.core import compositions
+from congruence_atoms.core import closure_mask, compositions
 
 vectors = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=12)
 
@@ -177,3 +177,15 @@ def test_compositions_are_lazy():
     n = 10**6
     first = list(islice(compositions(n, 5), 3))
     assert first == [(0, 0, 0, 0, n), (0, 0, 0, 1, n - 1), (0, 0, 0, 2, n - 2)]
+
+
+def test_closure_mask_is_the_set_of_sub_multiset_sums():
+    # every multiset of three letters mod m, repeats included, against
+    # its non-empty sub-multiset sums taken by positions
+    for m in range(2, 8):
+        for items in product(range(m), repeat=3):
+            sums = {
+                sum(part) % m for r in (1, 2, 3) for part in combinations(items, r)
+            }
+            assert closure_mask(items, m) == sum(1 << s for s in sums), (m, items)
+    assert closure_mask((), 5) == 0
