@@ -27,6 +27,7 @@ from .core import (
     BudgetExceeded,
     CongruenceInstance,
     DomainError,
+    Memo,
     NormalForm,
     bound_violations,
     euler_phi,
@@ -86,26 +87,6 @@ _TEMPLATES = {
 
 CSV_HEADER = "coords,length,width,weight,total_size"
 
-# a memo of the record writer starts over once it holds this many
-# entries, so that a streamed lift's memory stays bounded
-MEMO_ENTRIES = 1 << 14
-
-
-class _Memo(dict):
-    """The value of each key made by `make` on first use; the memo
-    starts over once it holds MEMO_ENTRIES values."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        if len(self) >= MEMO_ENTRIES:
-            self.clear()
-        value = self[key] = self.make(key)
-        return value
-
-
 def _chunk_fields(unpack, lead, sep, letters, digits):
     """The memo maker of one chunk position: a chunk's bytes to the text,
     length, width and weight of its coordinates, whose columns have the
@@ -141,14 +122,14 @@ class _RecordWriter:
         head, sep, tail = _TEMPLATES[fmt]
         # a one-byte digit is below 256; a wider one takes its decimal
         # form on first use
-        digits = _DIGITS if width == 1 else _Memo(str)
+        digits = _DIGITS if width == 1 else Memo(str)
         n = len(letters)
         k = n // 3
         cuts = (0, n - 2 * k, n - k, n)
         spans = list(zip(cuts, cuts[1:]))
         self.split = Struct("".join(f"{(hi - lo) * width}s" for lo, hi in spans)).iter_unpack
         self.chunks = [
-            _Memo(_chunk_fields(
+            Memo(_chunk_fields(
                 row_struct(hi - lo, width).unpack,
                 sep if p else head,
                 sep,
@@ -157,7 +138,7 @@ class _RecordWriter:
             ))
             for p, (lo, hi) in enumerate(spans)
         ]
-        self.tails = _Memo(lambda key: tail % (*key, key[0] + key[1]))
+        self.tails = Memo(lambda key: tail % (*key, key[0] + key[1]))
         self.out = out
         if fmt == "csv":
             out.write(CSV_HEADER + "\n")
@@ -363,7 +344,7 @@ def cmd_extremal(args):
 
 
 def cmd_bounds(args):
-    out, err = sys.stdout, sys.stderr
+    out = sys.stdout
     # every number of row m is below 4^(m-1) = 2^(2m-2), and that is
     # below 10^limit, so it prints, exactly when 2m - 1 is at most the
     # bit length of 10^limit, i.e. m <= top; a limit of 0 is no limit
@@ -390,7 +371,7 @@ def cmd_bounds(args):
 
 
 def cmd_diversity(args):
-    out, err = sys.stdout, sys.stderr
+    out = sys.stdout
     elements = _parse_int_list(args.set, "set")
     T = IndexSet(args.modulus, tuple(sorted(elements)))
     report = diversity(T)

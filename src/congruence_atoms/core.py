@@ -3,7 +3,8 @@
 Everything here works on plain tuples of non-negative integers; the
 dataclasses are thin validated containers.  All arithmetic is exact
 (Python ints), never floating point.  The one packed-row format of the
-listing, the cache and the lift is built here (`row_width`, `row_struct`).
+listing, the cache and the lift is built here (`row_width`, `row_struct`),
+and so is the one bounded memo of the record writer and the lift (`Memo`).
 """
 
 from __future__ import annotations
@@ -78,6 +79,26 @@ def row_struct(n, width):
     """The struct of n digits of a packed row, `width` bytes each, and
     big-endian: rows read as numbers are in lexicographic order."""
     return Struct(f">{n}{DIGIT_CODES[width]}")
+
+
+# a memo starts over once it holds this many entries, so that a streamed
+# lift's memory stays bounded
+MEMO_ENTRIES = 1 << 14
+
+
+class Memo(dict):
+    """The value of each key made by `make` on first use; the memo
+    starts over once it holds MEMO_ENTRIES values."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_ENTRIES:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
 
 
 def compositions(total, parts):

@@ -7,10 +7,12 @@ the class I_r in every possible way.  Letter 0 is an ordinary letter:
 its one atom e_0 lifts to the unit rows of the zero class.  The lift is
 streamed in lexicographic order by a walk over the index positions that
 builds and sorts one bounded bucket of rows at a time, so its memory
-does not grow with the number of rows.  The first row comes alone, from
-one path down the walk to a node of one row, before any other bucket is
-built.  While a row is built and sorted it is one int, each coordinate a
-digit of a fixed byte width, so numeric order is lexicographic order; a
+does not grow with the number of rows.  The first row comes alone, by
+its closed form, before any bucket is built: an atom's smallest lift
+puts each y_r on the last index of class r, since every earlier index
+of the class can take 0, and the first row is the least of these.
+While a row is built and sorted it is one int, each coordinate a digit
+of a fixed byte width, so numeric order is lexicographic order; a
 sorted bucket becomes one block of rows in `core`'s packed-row format,
 which `lift_solutions` decodes to tuples in one call and a record writer
 can read as it is.
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby, product, repeat, starmap
-from math import comb, prod
+from math import comb
 from operator import add, itemgetter, lshift
 
 from .core import (
     CongruenceInstance,
     DomainError,
-    binomial,
+    Memo,
     compositions,
     row_struct,
     row_width,
@@ -54,24 +56,6 @@ def build_plan(inst: CongruenceInstance) -> ReductionPlan:
     for i, a in enumerate(inst.coefficients):
         classes.setdefault(a, []).append(i)
     return ReductionPlan(inst.modulus, {r: tuple(classes[r]) for r in sorted(classes)})
-
-
-class _Tables(dict):
-    """For (remainder, class slot s, positions k left in the class): the
-    packed values of the compositions of the remainder over the last k
-    indices of class s, tabulated once per key.  `shift[i]` is the bit
-    shift of index i's digit, so a value v there packs as v << shift[i]."""
-
-    def __init__(self, classes, shift):
-        super().__init__()
-        self.classes = classes
-        self.shift = shift
-
-    def __missing__(self, key):
-        rem, s, k = key
-        shifts = [self.shift[i] for i in self.classes[s][-k:]]
-        table = self[key] = tuple(sum(map(lshift, c, shifts)) for c in compositions(rem, k))
-        return table
 
 
 def _check_pair(plan, normal_solutions):
@@ -107,13 +91,14 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     last index of a class the value is forced per atom; elsewhere it
     runs 0, 1, ... up to the largest remainder.  A node whose subtree
     holds at most `BUCKET_ROWS` rows is built whole and sorted.  The
-    first block is the first row alone: one path down the walk, taking
-    the first child until a node holds one row, finds it before any
-    other bucket is built, and the walk's first bucket then leaves it
-    out, so the blocks joined are the same rows as without it.
-    Besides the atoms, the stream holds at most n sorted lists of them on
-    the stack and one bucket of rows at a time, however many rows there
-    are; the first path's stack is dropped once its row is yielded.
+    first block is the first row alone, by its closed form: an atom's
+    smallest lift puts each y_r on the last index of class r, since
+    every earlier index of the class can take 0, so the first row is
+    the least of these over the atoms, found before any bucket is
+    built.  The walk's first bucket then leaves it out, so the blocks
+    joined are the same rows as without it.  Besides the atoms, the
+    stream holds at most n sorted lists of them on the stack and one
+    bucket of rows at a time, however many rows there are.
 
     A row is the int sum of x_i * B^(n-1-i) while it is built and
     sorted, with B = 2^(8w) and w = `core.row_width` of the atoms (no
@@ -130,10 +115,11 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     return width, _buckets(plan, solutions, width)
 
 
-def _rows_at_most(limit, atoms, placed, left):
-    """Whether the subtree holds at most `limit` rows: sum over the atoms
-    of prod_r C(k_r + rem_r - 1, rem_r), k_r the positions left in class
-    r and rem_r what is left of y_r, stopping once past the limit."""
+def _row_count(atoms, placed, left, limit=None):
+    """The rows below a node of the walk: sum over the atoms of
+    prod_r C(k_r + rem_r - 1, rem_r), k_r the positions left in class r
+    and rem_r what is left of y_r.  With a `limit`, it stops once the
+    total is past it."""
     total = 0
     for y in atoms:
         rows = 1
@@ -142,9 +128,9 @@ def _rows_at_most(limit, atoms, placed, left):
             if rem:
                 rows *= comb(k + rem - 1, rem)
         total += rows
-        if total > limit:
-            return False
-    return True
+        if limit is not None and total > limit:
+            break
+    return total
 
 
 def _bucket_rows(prefix, placed, atoms, left, tables):
@@ -195,10 +181,12 @@ def _children(prefix, p, placed, atoms, s, last, shift):
 def _buckets(plan, solutions, width):
     """The walk of `lift_blocks`: its buckets in order, each a block of
     sorted rows with coordinates `width` bytes wide.  The first block is
-    the first row alone, found by one path down the walk with a bucket
-    limit of one row; the walk at `BUCKET_ROWS` then follows, its first
-    bucket without that row.  The position tables come from one backward
-    pass, and a digit is placed by a bit shift, not a power of two."""
+    the first row alone, by its closed form; the walk's first bucket
+    follows without that row.  The position tables come from one
+    backward pass, and a digit is placed by a bit shift, not a power of
+    two."""
+    if not solutions:
+        return
     # slot s of an atom is its total on the s-th class, the s-th letter
     # of the support
     classes = list(plan.index_classes.values())
@@ -219,11 +207,22 @@ def _buckets(plan, solutions, width):
         counts[s] += 1
         left[p] = tuple((s, k) for s, k in enumerate(counts) if k)
     shift = [8 * width * (n - 1 - i) for i in range(n)]
-    tables = _Tables(classes, shift)
     size = n * width
 
-    def walk(limit):
-        # the sorted rows of each subtree of at most `limit` rows, in order
+    def table(key):
+        # the packed compositions of a remainder over the last k indices
+        # of class slot s
+        rem, s, k = key
+        shifts = [shift[i] for i in classes[s][-k:]]
+        return tuple(sum(map(lshift, c, shifts)) for c in compositions(rem, k))
+
+    tables = Memo(table)
+
+    def block(rows):
+        return b"".join(map(int.to_bytes, rows, repeat(size), repeat("big")))
+
+    def walk():
+        # the sorted rows of each subtree of at most BUCKET_ROWS rows, in order
         stack = [iter([(0, 0, (0,) * len(classes), solutions)])]
         while stack:
             node = next(stack[-1], None)
@@ -231,21 +230,15 @@ def _buckets(plan, solutions, width):
                 stack.pop()
                 continue
             prefix, p, placed, atoms = node
-            if p < n and not _rows_at_most(limit, atoms, placed, left[p]):
+            if p < n and _row_count(atoms, placed, left[p], BUCKET_ROWS) > BUCKET_ROWS:
                 stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], shift[p]))
             else:
                 yield _bucket_rows(prefix, placed, atoms, left[p], tables)
 
-    def block(rows):
-        return b"".join(map(int.to_bytes, rows, repeat(size), repeat("big")))
-
-    # a node with an atom holds a row, so at a limit of one row the first
-    # bucket is the smallest row; with no atoms it is empty
-    first = next(walk(min(1, BUCKET_ROWS)))
-    if not first:
-        return
-    yield block(first)
-    buckets = walk(BUCKET_ROWS)
+    # an atom's smallest lift puts y_s on the last index of class s
+    ends = [shift[idxs[-1]] for idxs in classes]
+    yield block([min(sum(map(lshift, y, ends)) for y in solutions)])
+    buckets = walk()
     # the first bucket is sorted and holds that row at its front
     rest = next(buckets)[1:]
     if rest:
@@ -254,14 +247,12 @@ def _buckets(plan, solutions, width):
 
 
 def count_general(plan: ReductionPlan, normal_solutions: EnumerationResult):
-    """N_m(a) = sum over y of prod_r C(n_r + y_r - 1, y_r), exact; the
-    atom e_0 of a zero class gives C(n_0, 1) = n_0."""
+    """N_m(a) = sum over y of prod_r C(n_r + y_r - 1, y_r), exact: the
+    lift's row count at the root of its walk, nothing placed and every
+    class whole.  The atom e_0 of a zero class gives C(n_0, 1) = n_0."""
     _check_pair(plan, normal_solutions)
     sizes = [len(idxs) for idxs in plan.index_classes.values()]
-    return sum(
-        prod(binomial(n + yr - 1, yr) for n, yr in zip(sizes, y))
-        for y in normal_solutions.solutions
-    )
+    return _row_count(normal_solutions.solutions, (0,) * len(sizes), tuple(enumerate(sizes)))
 
 
 def general_support_bounds_check(coords, inst: CongruenceInstance):

@@ -12,7 +12,7 @@ from itertools import islice
 
 import pytest
 
-from congruence_atoms import NormalForm, cli
+from congruence_atoms import NormalForm, cli, core
 from congruence_atoms.cli import main
 
 
@@ -693,7 +693,7 @@ def test_cached_records_match_the_reference_formatting(
 def test_record_writer_memos_start_over_when_full(monkeypatch, capsys):
     # a memo that starts over at every second entry keeps the records
     # right: a streamed lift's memos stay bounded
-    monkeypatch.setattr(cli, "MEMO_ENTRIES", 2)
+    monkeypatch.setattr(core, "MEMO_ENTRIES", 2)
     for argv, letters, rows in islice(_golden_cases(), 3):
         code, out, _ = run_cli(argv + ["--format", "text"], capsys)
         assert code == 0
@@ -793,16 +793,18 @@ def test_solve_sets_up_a_long_coefficient_list_at_once(capsys):
 
 
 def test_solve_max_rows_0_builds_only_the_first_row(capsys, buckets_built):
-    # the first row comes alone, so a cap of 0 reads it to tell that the
-    # output was capped and builds no bucket of the other 9.8e13 rows
-    coeffs = ",".join(["1"] * 40)
-    code, out, err = run_cli(
-        ["solve", "--modulus", "17", "--coeffs", coeffs, "--max-rows", "0"], capsys
-    )
-    assert code == 0
-    assert out == ""
-    assert "output capped at 0 rows" in err
-    assert buckets_built == [1]
+    # the first row comes alone, by its closed form, so a cap of 0 reads
+    # it to tell that the output was capped and builds no bucket: not of
+    # the other 9.8e13 rows of forty 1s mod 17, nor of the rows of
+    # 20,001 coordinates of `1,2,3` repeated mod 7
+    for modulus, coeffs in ("17", ",".join(["1"] * 40)), ("7", ",".join(["1,2,3"] * 6667)):
+        code, out, err = run_cli(
+            ["solve", "--modulus", modulus, "--coeffs", coeffs, "--max-rows", "0"], capsys
+        )
+        assert code == 0
+        assert out == ""
+        assert "output capped at 0 rows" in err
+        assert buckets_built == [], modulus
 
 
 def _parse_record(line, fmt):

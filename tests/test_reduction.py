@@ -16,6 +16,7 @@ from congruence_atoms import (
     general_support_bounds_check,
     lift_solutions,
     naive_minimal_solutions,
+    core,
     reduction,
 )
 from congruence_atoms.core import compositions, row_struct, row_width
@@ -289,8 +290,8 @@ def packed_reference(plan, normal):
 
 @pytest.mark.parametrize("bucket_rows", [0, 1, None])
 def test_first_row_comes_alone(bucket_rows, monkeypatch, buckets_built):
-    # the first block is the first row, built from one bucket of one row
-    # before any other; it is not printed again in the next block
+    # the first block is the first row, by its closed form, before any
+    # bucket is built; it is not printed again in the next block
     if bucket_rows is not None:
         monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
     plans = equality_instances(400, 400)
@@ -304,9 +305,19 @@ def test_first_row_comes_alone(bucket_rows, monkeypatch, buckets_built):
         buckets_built.clear()
         _, blocks = reduction.lift_blocks(plan, normal)
         first = next(blocks)
-        assert buckets_built == [1], plan
+        assert buckets_built == [], plan
         assert first == expected[:size], plan
         assert first + b"".join(blocks) == expected, plan
+
+
+def test_lift_tables_memo_starts_over_when_full(monkeypatch):
+    # the lift's composition tables share the record writer's bounded
+    # memo: one that starts over at every second entry keeps the rows
+    monkeypatch.setattr(core, "MEMO_ENTRIES", 2)
+    for plan in equality_instances(400, 400):
+        normal = normal_cached(plan)
+        _, blocks = reduction.lift_blocks(plan, normal)
+        assert b"".join(blocks) == packed_reference(plan, normal), plan
 
 
 def test_lift_of_one_row_is_one_block():
