@@ -107,66 +107,51 @@ def _chunk_fields(unpack, lead, sep, letters, digits):
     return make
 
 
-class _RecordWriter:
-    """One record per packed row.  A row is n = len(letters) digits of
-    `width` bytes in `core`'s packed-row format (`core.row_struct`); one
-    struct splits it into three byte chunks at the digit cuts (0, n - 2k,
-    n - k, n), k = n // 3, so the first chunk is never empty.  Per chunk
-    position a memo maps the chunk's bytes to the text, length, width and
-    weight of its coordinates: chunk 0's text starts with the record
-    head, the others' with the separator.  One more memo maps (length,
-    width, weight) to the record tail.  Rows repeat their chunks, so a
-    row costs three memo hits, a few adds and a tail lookup."""
-
-    def __init__(self, fmt, width, letters, out):
-        head, sep, tail = _TEMPLATES[fmt]
-        # a one-byte digit is below 256; a wider one takes its decimal
-        # form on first use
-        digits = _DIGITS if width == 1 else Memo(str)
-        n = len(letters)
-        k = n // 3
-        cuts = (0, n - 2 * k, n - k, n)
-        spans = list(zip(cuts, cuts[1:]))
-        self.split = Struct("".join(f"{(hi - lo) * width}s" for lo, hi in spans)).iter_unpack
-        self.chunks = [
-            Memo(_chunk_fields(
-                row_struct(hi - lo, width).unpack,
-                sep if p else head,
-                sep,
-                letters[lo:hi],
-                digits,
-            ))
-            for p, (lo, hi) in enumerate(spans)
-        ]
-        self.tails = Memo(lambda key: tail % (*key, key[0] + key[1]))
-        self.out = out
-        if fmt == "csv":
-            out.write(CSV_HEADER + "\n")
-
-    def write(self, blocks, cap=None):
-        """Write the records of the rows of the byte blocks, at most `cap`
-        if given; return their number and whether a row was left over."""
-        rows = chain.from_iterable(map(self.split, blocks))
-        shown = rows if cap is None else islice(rows, cap)
-        first, second, third = self.chunks
-        tails = self.tails
-        write = self.out.write
-        count = 0
-        for count, (a, b, c) in enumerate(shown, 1):
-            ta, la, wa, ga = first[a]
-            tb, lb, wb, gb = second[b]
-            tc, lc, wc, gc = third[c]
-            write(ta + tb + tc + tails[la + lb + lc, wa + wb + wc, ga + gb + gc])
-        # islice takes no row past the cap: a row left over means a cap
-        return count, next(rows, None) is not None
-
-
-def _print_records(fmt, m, width, letters, blocks, started, cap=None):
+def _print_records(fmt, m, width, letters, blocks, started, cap=None, total=None):
     """The one record path of `enumerate` and `solve`: the records of the
-    rows of `blocks` on stdout, at most `cap`, then on stderr the cap note
-    if capped and the summary, its elapsed_ms from the time `started`."""
-    count, capped = _RecordWriter(fmt, width, letters, sys.stdout).write(blocks, cap)
-    if capped:
+    rows of `blocks` on stdout, at most `cap` if given (no row past it is
+    read), then on stderr the cap note if the row count `total` is past
+    the cap and the summary, its elapsed_ms from the time `started`.
+
+    A row is n = len(letters) digits of `width` bytes in `core`'s
+    packed-row format (`core.row_struct`); one struct splits it into
+    three byte chunks at the digit cuts (0, n - 2k, n - k, n), k = n // 3,
+    so the first chunk is never empty.  Per chunk position a memo maps
+    the chunk's bytes to the text, length, width and weight of its
+    coordinates: chunk 0's text starts with the record head, the others'
+    with the separator.  One more memo maps (length, width, weight) to
+    the record tail.  Rows repeat their chunks, so a row costs three
+    memo hits, a few adds and a tail lookup."""
+    head, sep, tail = _TEMPLATES[fmt]
+    # a one-byte digit is below 256; a wider one takes its decimal form
+    # on first use
+    digits = _DIGITS if width == 1 else Memo(str)
+    n = len(letters)
+    k = n // 3
+    spans = [(0, n - 2 * k), (n - 2 * k, n - k), (n - k, n)]
+    split = Struct("".join(f"{(hi - lo) * width}s" for lo, hi in spans)).iter_unpack
+    first, second, third = [
+        Memo(_chunk_fields(
+            row_struct(hi - lo, width).unpack,
+            sep if p else head,
+            sep,
+            letters[lo:hi],
+            digits,
+        ))
+        for p, (lo, hi) in enumerate(spans)
+    ]
+    tails = Memo(lambda key: tail % (*key, key[0] + key[1]))
+    write = sys.stdout.write
+    if fmt == "csv":
+        write(CSV_HEADER + "\n")
+    rows = chain.from_iterable(map(split, blocks))
+    count = 0
+    for count, (a, b, c) in enumerate(rows if cap is None else islice(rows, cap), 1):
+        ta, la, wa, ga = first[a]
+        tb, lb, wb, gb = second[b]
+        tc, lc, wc, gc = third[c]
+        write(ta + tb + tc + tails[la + lb + lc, wa + wb + wc, ga + gb + gc])
+    if cap is not None and total > cap:
         print(f"output capped at {cap} rows", file=sys.stderr)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     summary = {"m": m, "count": count, "elapsed_ms": elapsed_ms}
@@ -312,9 +297,12 @@ def cmd_solve(args):
         print(count_general(plan, normal))
         return EXIT_OK
     width, blocks = lift_blocks(plan, normal)
+    # the cap note comes from the row count: no row past the cap is built
+    total = None if args.max_rows is None else count_general(plan, normal)
     # the weight is taken over the coefficients reduced mod m
     _print_records(
-        args.format, args.modulus, width, inst.coefficients, blocks, started, args.max_rows
+        args.format, args.modulus, width, inst.coefficients, blocks, started,
+        args.max_rows, total,
     )
     return EXIT_OK
 
@@ -541,6 +529,14 @@ def main(argv=None):
     for name in ("stdout", "stderr"):
         if getattr(sys, name) is None:
             setattr(sys, name, open(os.devnull, "w"))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a list value such as -3,13,7 for an option: join
+    # each list option to a value that starts with a negative number
+    for i in reversed(range(len(argv) - 1)):
+        option, value = argv[i : i + 2]
+        negative = value[:1] == "-" and value[1:2].isdigit()
+        if negative and option in ("--coeffs", "--support", "--set"):
+            argv[i : i + 2] = [f"{option}={value}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     code = EXIT_OK

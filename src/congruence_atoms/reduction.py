@@ -65,9 +65,10 @@ def _check_pair(plan, normal_solutions):
         raise DomainError("support mismatch between plan and normal solutions")
 
 
-# a subtree of the lift walk holding at most this many rows is built
-# whole and sorted: a bucket bounds the memory a streamed lift needs
-BUCKET_ROWS = 4096
+# a subtree of the lift walk whose rows take at most this many bytes
+# is built whole and sorted: a bucket bounds the memory a streamed lift
+# needs, however long its rows
+BUCKET_BYTES = 1 << 17
 
 
 def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult):
@@ -89,16 +90,14 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     prefix of values and its length, the atoms still consistent with it
     and how much of each residue class the prefix has placed.  At the
     last index of a class the value is forced per atom; elsewhere it
-    runs 0, 1, ... up to the largest remainder.  A node whose subtree
-    holds at most `BUCKET_ROWS` rows is built whole and sorted.  The
-    first block is the first row alone, by its closed form: an atom's
-    smallest lift puts each y_r on the last index of class r, since
-    every earlier index of the class can take 0, so the first row is
-    the least of these over the atoms, found before any bucket is
-    built.  The walk's first bucket then leaves it out, so the blocks
-    joined are the same rows as without it.  Besides the atoms, the
-    stream holds at most n sorted lists of them on the stack and one
-    bucket of rows at a time, however many rows there are.
+    runs 0, 1, ... up to the largest remainder.  A node whose subtree's
+    rows take at most `BUCKET_BYTES` bytes is built whole and sorted.
+    The first block is the first row alone, by the closed form of the
+    module docstring, found before any bucket is built.  The walk's
+    first bucket then leaves it out, so the blocks joined are the same
+    rows as without it.  Besides the atoms, the stream holds at most n
+    sorted lists of them on the stack and one bucket of rows at a time,
+    however many rows there are.
 
     A row is the int sum of x_i * B^(n-1-i) while it is built and
     sorted, with B = 2^(8w) and w = `core.row_width` of the atoms (no
@@ -181,10 +180,9 @@ def _children(prefix, p, placed, atoms, s, last, shift):
 def _buckets(plan, solutions, width):
     """The walk of `lift_blocks`: its buckets in order, each a block of
     sorted rows with coordinates `width` bytes wide.  The first block is
-    the first row alone, by its closed form; the walk's first bucket
-    follows without that row.  The position tables come from one
-    backward pass, and a digit is placed by a bit shift, not a power of
-    two."""
+    the first row alone; the walk's first bucket follows without it.
+    The position tables come from one backward pass, and a digit is
+    placed by a bit shift, not a power of two."""
     if not solutions:
         return
     # slot s of an atom is its total on the s-th class, the s-th letter
@@ -208,6 +206,8 @@ def _buckets(plan, solutions, width):
         left[p] = tuple((s, k) for s, k in enumerate(counts) if k)
     shift = [8 * width * (n - 1 - i) for i in range(n)]
     size = n * width
+    # a bucket's most rows; at 0 the walk goes down to single rows
+    limit = BUCKET_BYTES // size
 
     def table(key):
         # the packed compositions of a remainder over the last k indices
@@ -222,7 +222,7 @@ def _buckets(plan, solutions, width):
         return b"".join(map(int.to_bytes, rows, repeat(size), repeat("big")))
 
     def walk():
-        # the sorted rows of each subtree of at most BUCKET_ROWS rows, in order
+        # the sorted rows of each subtree of at most `limit` rows, in order
         stack = [iter([(0, 0, (0,) * len(classes), solutions)])]
         while stack:
             node = next(stack[-1], None)
@@ -230,12 +230,12 @@ def _buckets(plan, solutions, width):
                 stack.pop()
                 continue
             prefix, p, placed, atoms = node
-            if p < n and _row_count(atoms, placed, left[p], BUCKET_ROWS) > BUCKET_ROWS:
+            if p < n and _row_count(atoms, placed, left[p], limit) > limit:
                 stack.append(_children(prefix, p, placed, atoms, slot[p], last[p], shift[p]))
             else:
                 yield _bucket_rows(prefix, placed, atoms, left[p], tables)
 
-    # an atom's smallest lift puts y_s on the last index of class s
+    # the first row by its closed form (module docstring)
     ends = [shift[idxs[-1]] for idxs in classes]
     yield block([min(sum(map(lshift, y, ends)) for y in solutions)])
     buckets = walk()

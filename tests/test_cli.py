@@ -12,7 +12,7 @@ from itertools import islice
 
 import pytest
 
-from congruence_atoms import NormalForm, cli, core
+from congruence_atoms import NormalForm, cli, core, reduction
 from congruence_atoms.cli import main
 
 
@@ -793,18 +793,58 @@ def test_solve_sets_up_a_long_coefficient_list_at_once(capsys):
 
 
 def test_solve_max_rows_0_builds_only_the_first_row(capsys, buckets_built):
-    # the first row comes alone, by its closed form, so a cap of 0 reads
-    # it to tell that the output was capped and builds no bucket: not of
-    # the other 9.8e13 rows of forty 1s mod 17, nor of the rows of
-    # 20,001 coordinates of `1,2,3` repeated mod 7
+    # the cap note comes from the row count and the first row by its
+    # closed form, so caps of 0 and 1 build no bucket: not of the other
+    # 9.8e13 rows of forty 1s mod 17, nor of the rows of 20,001
+    # coordinates of `1,2,3` repeated mod 7 (a row read past the cap
+    # built a bucket of 3,544 of those, 71 MB)
     for modulus, coeffs in ("17", ",".join(["1"] * 40)), ("7", ",".join(["1,2,3"] * 6667)):
-        code, out, err = run_cli(
-            ["solve", "--modulus", modulus, "--coeffs", coeffs, "--max-rows", "0"], capsys
-        )
-        assert code == 0
-        assert out == ""
-        assert "output capped at 0 rows" in err
-        assert buckets_built == [], modulus
+        for cap in 0, 1:
+            code, out, err = run_cli(
+                ["solve", "--modulus", modulus, "--coeffs", coeffs, "--max-rows", str(cap)],
+                capsys,
+            )
+            assert code == 0
+            assert len(out.splitlines()) == cap
+            assert f"output capped at {cap} rows" in err
+            assert buckets_built == [], (modulus, cap)
+
+
+def test_solve_buckets_of_long_rows_are_bounded_in_bytes(capsys, buckets_built):
+    # past the first row, each bucket of rows of 20,001 coordinates holds
+    # at most `reduction.BUCKET_BYTES` bytes
+    coeffs = ",".join(["1,2,3"] * 6667)
+    code, out, err = run_cli(
+        ["solve", "--modulus", "7", "--coeffs", coeffs, "--max-rows", "5"], capsys
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert buckets_built
+    assert all(rows * 20_001 <= reduction.BUCKET_BYTES for rows in buckets_built)
+
+
+@pytest.mark.parametrize(
+    "head, option, value",
+    [
+        (["solve", "--modulus", "10", "--count-only"], "--coeffs", "-3,13,7"),
+        (["solve", "--modulus", "10", "--max-rows", "3"], "--coeffs", "-3,13,7"),
+        (["enumerate", "7"], "--support", "-1,2"),
+        (["diversity", "--modulus", "7"], "--set", "-1,2"),
+    ],
+    ids=["solve-count", "solve", "enumerate", "diversity"],
+)
+def test_a_list_option_takes_a_negative_first_item(capsys, head, option, value):
+    # argparse would read -3,13,7 as an option: the value is joined to
+    # its list option, so both forms print the same
+    def run(argv):
+        code, out, err = run_cli(argv, capsys)
+        return code, out, re.sub(r"elapsed_ms=\d+", "", err)
+
+    code, out, err = run(head + [option, value])
+    assert (code, out, err) == run(head + [f"{option}={value}"])
+    # the negative letter or set element is refused by the command itself
+    assert code == (0 if head[0] == "solve" else 2)
+    assert out if code == 0 else err.startswith("error: ")
 
 
 def _parse_record(line, fmt):
@@ -1203,9 +1243,9 @@ def test_little_endian_version_2_file_is_a_miss(tmp_path, capsys):
     ids=["enumerate", "solve"],
 )
 def test_elapsed_ms_covers_every_step(capsys, monkeypatch, argv, seconds):
-    # a clock that only the record writer and solve's build_plan move, by
-    # one second each: elapsed_ms runs from the first step of work to the
-    # last record
+    # a clock that only the record writer's read past its last block and
+    # solve's build_plan move, by one second each: elapsed_ms runs from
+    # the first step of work to the last record
     import types
 
     now = [0.0]
@@ -1218,7 +1258,16 @@ def test_elapsed_ms_covers_every_step(capsys, monkeypatch, argv, seconds):
 
         return run
 
-    monkeypatch.setattr(cli._RecordWriter, "write", slow(cli._RecordWriter.write))
+    print_records = cli._print_records
+
+    def slow_blocks(fmt, m, width, letters, blocks, *rest):
+        def read():
+            yield from blocks
+            now[0] += 1.0
+
+        return print_records(fmt, m, width, letters, read(), *rest)
+
+    monkeypatch.setattr(cli, "_print_records", slow_blocks)
     monkeypatch.setattr(cli, "build_plan", slow(cli.build_plan))
     code, _, err = run_cli(argv, capsys)
     assert code == 0

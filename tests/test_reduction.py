@@ -215,10 +215,10 @@ def normal_cached(plan):
 
 @pytest.mark.parametrize("bucket_rows", [0, 1, 7, None])
 def test_lift_equals_the_sorted_reference(bucket_rows, monkeypatch):
-    # bucket limits 0, 1 and 7 end the walk at every depth, down to
-    # single rows; None keeps the default
+    # buckets of 0, 10 and 70 bytes (one-byte digits, n <= 10) end the
+    # walk at every depth, down to single rows; None keeps the default
     if bucket_rows is not None:
-        monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
+        monkeypatch.setattr(reduction, "BUCKET_BYTES", bucket_rows * 10)
     plans = equality_instances(3000, 400)
     assert {plan.modulus for plan in plans} == set(range(2, 13))
     for plan in plans:
@@ -291,12 +291,14 @@ def packed_reference(plan, normal):
 @pytest.mark.parametrize("bucket_rows", [0, 1, None])
 def test_first_row_comes_alone(bucket_rows, monkeypatch, buckets_built):
     # the first block is the first row, by its closed form, before any
-    # bucket is built; it is not printed again in the next block
+    # bucket is built; it is not printed again in the next block.
+    # Buckets of 0 and 10 bytes (one-byte digits, n <= 10) take the walk
+    # down to single rows or a few
     if bucket_rows is not None:
-        monkeypatch.setattr(reduction, "BUCKET_ROWS", bucket_rows)
+        monkeypatch.setattr(reduction, "BUCKET_BYTES", bucket_rows * 10)
     plans = equality_instances(400, 400)
     if bucket_rows is None:
-        # 285,900 rows; the first bucket at the default limit holds 3,813
+        # 285,900 rows of 30 bytes; the first bucket holds 3,813
         plans.append(build_plan(CongruenceInstance(17, THREE_CLASSES)))
     for plan in plans:
         normal = normal_cached(plan)
@@ -360,3 +362,21 @@ def test_streamed_lift_memory_does_not_grow_with_the_rows():
         tracemalloc.stop()
     assert drained == 200_000
     assert peak < 16 * 2**20
+
+
+def test_a_bucket_of_long_rows_is_bounded_in_bytes():
+    # 20,001 coefficients, `1,2,3` repeated mod 7: a bucket bounded at
+    # 4,096 rows took 3,544 rows of 20,001 bytes, a 71 MB block and as
+    # much again as ints, and the first two blocks peaked at 155 MB
+    plan = build_plan(CongruenceInstance(7, (1, 2, 3) * 6667))
+    normal = normal_for(plan)
+    tracemalloc.start()
+    try:
+        _, blocks = reduction.lift_blocks(plan, normal)
+        first, second = islice(blocks, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 20_001
+    assert 0 < len(second) <= reduction.BUCKET_BYTES
+    assert peak < 40 * 2**20
