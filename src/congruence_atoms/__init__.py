@@ -2,6 +2,8 @@
 reduction, extremal classification, counting bounds, and subset-sum
 diversity, all in exact arithmetic."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BudgetExceeded,
     CongruenceInstance,
@@ -63,4 +65,5 @@ from .subset_sums import (
     verify_r4,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public API, without the submodules that the imports above bind
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)]

@@ -121,7 +121,8 @@ def _print_records(fmt, m, width, letters, blocks, started, cap=None, total=None
     coordinates: chunk 0's text starts with the record head, the others'
     with the separator.  One more memo maps (length, width, weight) to
     the record tail.  Rows repeat their chunks, so a row costs three
-    memo hits, a few adds and a tail lookup."""
+    memo hits, a few adds and a tail lookup.  A chunk memo is bounded
+    by its keys' (hi - lo) * width bytes (`core.Memo`)."""
     head, sep, tail = _TEMPLATES[fmt]
     # a one-byte digit is below 256; a wider one takes its decimal form
     # on first use
@@ -137,7 +138,7 @@ def _print_records(fmt, m, width, letters, blocks, started, cap=None, total=None
             sep,
             letters[lo:hi],
             digits,
-        ))
+        ), (hi - lo) * width)
         for p, (lo, hi) in enumerate(spans)
     ]
     tails = Memo(lambda key: tail % (*key, key[0] + key[1]))
@@ -442,16 +443,19 @@ def _verify_invariants(args, checks):
         checks.append((f"bound theorems m={m}", ok))
 
 
+# the suites of `verify --suite`, in the order its --help lists them
+_SUITES = {
+    "tables": _verify_tables,
+    "extremal": _verify_extremal,
+    "appendix": _verify_appendix,
+    "invariants": _verify_invariants,
+}
+
+
 def cmd_verify(args):
     out, err = sys.stdout, sys.stderr
     checks = []
-    suites = {
-        "tables": _verify_tables,
-        "extremal": _verify_extremal,
-        "appendix": _verify_appendix,
-        "invariants": _verify_invariants,
-    }
-    suites[args.suite](args, checks)
+    _SUITES[args.suite](args, checks)
     if not checks:
         raise DomainError(f"suite {args.suite} has no check for --m-max {args.m_max}")
     tally = {"PASS": 0, "FAIL": 0, "SKIP": 0}
@@ -512,11 +516,7 @@ def build_parser():
     p.set_defaults(func=cmd_diversity)
 
     p = sub.add_parser("verify", help="replay a verification suite")
-    p.add_argument(
-        "--suite",
-        choices=("tables", "extremal", "appendix", "invariants"),
-        required=True,
-    )
+    p.add_argument("--suite", choices=tuple(_SUITES), required=True)
     p.add_argument("--m-max", type=int, default=14)
     p.set_defaults(func=cmd_verify)
 
@@ -530,12 +530,12 @@ def main(argv=None):
         if getattr(sys, name) is None:
             setattr(sys, name, open(os.devnull, "w"))
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a list value such as -3,13,7 for an option: join
-    # each list option to a value that starts with a negative number
+    # argparse takes a list value such as -3,13,7 for an option: join it
+    # to the --name before it, which argparse resolves, abbreviated or not
     for i in reversed(range(len(argv) - 1)):
         option, value = argv[i : i + 2]
-        negative = value[:1] == "-" and value[1:2].isdigit()
-        if negative and option in ("--coeffs", "--support", "--set"):
+        named = option[:2] == "--" and option[2:3].isalpha() and "=" not in option
+        if named and value[:1] == "-" and value[1:2].isdigit() and "," in value:
             argv[i : i + 2] = [f"{option}={value}"]
     parser = build_parser()
     args = parser.parse_args(argv)

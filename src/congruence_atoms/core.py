@@ -4,7 +4,8 @@ Everything here works on plain tuples of non-negative integers; the
 dataclasses are thin validated containers.  All arithmetic is exact
 (Python ints), never floating point.  The one packed-row format of the
 listing, the cache and the lift is built here (`row_width`, `row_struct`),
-and so is the one bounded memo of the record writer and the lift (`Memo`).
+and so are the byte budget of a streamed result (`STREAM_BYTES`) and the
+one memo it bounds, of the record writer and the lift (`Memo`).
 """
 
 from __future__ import annotations
@@ -81,21 +82,22 @@ def row_struct(n, width):
     return Struct(f">{n}{DIGIT_CODES[width]}")
 
 
-# a memo starts over once it holds this many entries, so that a streamed
-# lift's memory stays bounded
-MEMO_ENTRIES = 1 << 14
+# the byte budget of a streamed result: at most this many bytes of rows
+# in a lift bucket, and of keys in a memo, however many rows stream
+STREAM_BYTES = 1 << 17
 
 
 class Memo(dict):
-    """The value of each key made by `make` on first use; the memo
-    starts over once it holds MEMO_ENTRIES values."""
+    """The value of each key made by `make` on first use; the memo starts
+    over once it holds STREAM_BYTES // max(8, key_bytes) values."""
 
-    def __init__(self, make):
+    def __init__(self, make, key_bytes=8):
         super().__init__()
         self.make = make
+        self.key_bytes = max(8, key_bytes)
 
     def __missing__(self, key):
-        if len(self) >= MEMO_ENTRIES:
+        if len(self) >= STREAM_BYTES // self.key_bytes:
             self.clear()
         value = self[key] = self.make(key)
         return value

@@ -6,16 +6,16 @@ its solutions are lifted by distributing each y_r over the indices of
 the class I_r in every possible way.  Letter 0 is an ordinary letter:
 its one atom e_0 lifts to the unit rows of the zero class.  The lift is
 streamed in lexicographic order by a walk over the index positions that
-builds and sorts one bounded bucket of rows at a time, so its memory
-does not grow with the number of rows.  The first row comes alone, by
-its closed form, before any bucket is built: an atom's smallest lift
-puts each y_r on the last index of class r, since every earlier index
-of the class can take 0, and the first row is the least of these.
-While a row is built and sorted it is one int, each coordinate a digit
-of a fixed byte width, so numeric order is lexicographic order; a
-sorted bucket becomes one block of rows in `core`'s packed-row format,
-which `lift_solutions` decodes to tuples in one call and a record writer
-can read as it is.
+builds and sorts one bucket of at most `core.STREAM_BYTES` bytes of rows
+at a time, so its memory does not grow with the number of rows.  The
+first row comes alone, by its closed form, before any bucket is built:
+an atom's smallest lift puts each y_r on the last index of class r,
+since every earlier index of the class can take 0, and the first row is
+the least of these.  While a row is built and sorted it is one int, each
+coordinate a digit of a fixed byte width, so numeric order is
+lexicographic order; a sorted bucket becomes one block of rows in
+`core`'s packed-row format, which `lift_solutions` decodes to tuples in
+one call and a record writer can read as it is.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from itertools import chain, groupby, product, repeat, starmap
 from math import comb
 from operator import add, itemgetter, lshift
 
+from . import core
 from .core import (
     CongruenceInstance,
     DomainError,
@@ -65,12 +66,6 @@ def _check_pair(plan, normal_solutions):
         raise DomainError("support mismatch between plan and normal solutions")
 
 
-# a subtree of the lift walk whose rows take at most this many bytes
-# is built whole and sorted: a bucket bounds the memory a streamed lift
-# needs, however long its rows
-BUCKET_BYTES = 1 << 17
-
-
 def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult):
     """All indecomposable solutions of the general instance, lazily and
     in lexicographic order: the rows of `lift_blocks`, each block
@@ -91,7 +86,8 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     and how much of each residue class the prefix has placed.  At the
     last index of a class the value is forced per atom; elsewhere it
     runs 0, 1, ... up to the largest remainder.  A node whose subtree's
-    rows take at most `BUCKET_BYTES` bytes is built whole and sorted.
+    rows take at most `core.STREAM_BYTES` bytes, the byte budget of a
+    streamed result read when the walk starts, is built whole and sorted.
     The first block is the first row alone, by the closed form of the
     module docstring, found before any bucket is built.  The walk's
     first bucket then leaves it out, so the blocks joined are the same
@@ -207,7 +203,7 @@ def _buckets(plan, solutions, width):
     shift = [8 * width * (n - 1 - i) for i in range(n)]
     size = n * width
     # a bucket's most rows; at 0 the walk goes down to single rows
-    limit = BUCKET_BYTES // size
+    limit = core.STREAM_BYTES // size
 
     def table(key):
         # the packed compositions of a remainder over the last k indices

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -691,9 +692,10 @@ def test_cached_records_match_the_reference_formatting(
 
 
 def test_record_writer_memos_start_over_when_full(monkeypatch, capsys):
-    # a memo that starts over at every second entry keeps the records
-    # right: a streamed lift's memos stay bounded
-    monkeypatch.setattr(core, "MEMO_ENTRIES", 2)
+    # a memo that starts over at every second 8-byte key, or at every
+    # longer one, keeps the records right: a streamed lift's memos stay
+    # bounded
+    monkeypatch.setattr(core, "STREAM_BYTES", 16)
     for argv, letters, rows in islice(_golden_cases(), 3):
         code, out, _ = run_cli(argv + ["--format", "text"], capsys)
         assert code == 0
@@ -812,7 +814,7 @@ def test_solve_max_rows_0_builds_only_the_first_row(capsys, buckets_built):
 
 def test_solve_buckets_of_long_rows_are_bounded_in_bytes(capsys, buckets_built):
     # past the first row, each bucket of rows of 20,001 coordinates holds
-    # at most `reduction.BUCKET_BYTES` bytes
+    # at most `core.STREAM_BYTES` bytes
     coeffs = ",".join(["1,2,3"] * 6667)
     code, out, err = run_cli(
         ["solve", "--modulus", "7", "--coeffs", coeffs, "--max-rows", "5"], capsys
@@ -820,7 +822,29 @@ def test_solve_buckets_of_long_rows_are_bounded_in_bytes(capsys, buckets_built):
     assert code == 0
     assert len(out.splitlines()) == 5
     assert buckets_built
-    assert all(rows * 20_001 <= reduction.BUCKET_BYTES for rows in buckets_built)
+    assert all(rows * 20_001 <= core.STREAM_BYTES for rows in buckets_built)
+
+
+def test_solve_memory_does_not_grow_with_the_rows_of_wide_records(monkeypatch, capsys):
+    # 3,000 coefficients, `1,2,3` repeated mod 7: a chunk memo's keys are
+    # 1,000 bytes, so it starts over within the byte budget.  A memo of
+    # 16,384 entries whatever its keys kept every distinct chunk and its
+    # text: 8.5 MB traced at 1,500 rows, 12.6 MB at 3,000
+    coeffs = ",".join(["1,2,3"] * 1000)
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        for cap in 1500, 3000:
+            tracemalloc.start()
+            try:
+                code = main(["solve", "--modulus", "7", "--coeffs", coeffs, "--max-rows", str(cap)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            peaks.append(peak)
+    assert "output capped at 3000 rows" in capsys.readouterr().err
+    assert peaks[1] < peaks[0] + 2**20, peaks
 
 
 @pytest.mark.parametrize(
@@ -830,12 +854,18 @@ def test_solve_buckets_of_long_rows_are_bounded_in_bytes(capsys, buckets_built):
         (["solve", "--modulus", "10", "--max-rows", "3"], "--coeffs", "-3,13,7"),
         (["enumerate", "7"], "--support", "-1,2"),
         (["diversity", "--modulus", "7"], "--set", "-1,2"),
+        (["solve", "--modulus", "10", "--count-only"], "--coeff", "-3,13,7"),
+        (["enumerate", "7"], "--supp", "-1,2"),
+        (["diversity", "--modulus", "7"], "--se", "-1,2"),
     ],
-    ids=["solve-count", "solve", "enumerate", "diversity"],
+    ids=[
+        "solve-count", "solve", "enumerate", "diversity",
+        "solve-abbreviated", "enumerate-abbreviated", "diversity-abbreviated",
+    ],
 )
 def test_a_list_option_takes_a_negative_first_item(capsys, head, option, value):
     # argparse would read -3,13,7 as an option: the value is joined to
-    # its list option, so both forms print the same
+    # its list option, full or abbreviated, so both forms print the same
     def run(argv):
         code, out, err = run_cli(argv, capsys)
         return code, out, re.sub(r"elapsed_ms=\d+", "", err)

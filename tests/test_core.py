@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 from itertools import combinations, islice, product
 
 import pytest
@@ -15,7 +18,7 @@ from congruence_atoms import (
     leq,
     metrics,
 )
-from congruence_atoms.core import closure_mask, compositions
+from congruence_atoms.core import Memo, closure_mask, compositions
 
 vectors = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=12)
 
@@ -189,3 +192,43 @@ def test_closure_mask_is_the_set_of_sub_multiset_sums():
             }
             assert closure_mask(items, m) == sum(1 << s for s in sums), (m, items)
     assert closure_mask((), 5) == 0
+
+
+@pytest.mark.parametrize(
+    "key_bytes, entries",
+    [(1, 16_384), (8, 16_384), (10, 13_107), (1_000, 131), (6_667, 19)],
+)
+def test_memo_starts_over_within_the_byte_budget(key_bytes, entries):
+    # a memo holds at most 2^17 bytes of keys, a key of up to 8 bytes
+    # counting as 8: never more entries than the 16,384 of 8-byte keys
+    memo = Memo(str, key_bytes)
+    sizes = []
+    for key in range(2 * entries + 1):
+        assert memo[key] == str(key)
+        sizes.append(len(memo))
+    assert max(sizes) == entries
+    assert sizes[-1] == 1
+
+
+def test_star_import_binds_only_the_public_api():
+    # a fresh interpreter, so no submodule imported by another test is
+    # bound in the package: every public name but the submodules is
+    # exported, and no exported name is a module
+    code = """if True:
+        import json, types
+        import congruence_atoms
+        public = [name for name in dir(congruence_atoms) if not name.startswith("_")]
+        star = {}
+        exec("from congruence_atoms import *", star)
+        del star["__builtins__"]
+        modules = [name for name in public if isinstance(getattr(congruence_atoms, name), types.ModuleType)]
+        exported_modules = [name for name, value in star.items() if isinstance(value, types.ModuleType)]
+        print(json.dumps([public, modules, sorted(star), exported_modules]))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    public, modules, star, exported_modules = json.loads(proc.stdout)
+    assert sorted(modules) == [
+        "bounds", "core", "enumeration", "extremal", "reduction", "subset_sums", "tables",
+    ]
+    assert exported_modules == []
+    assert star == sorted(set(public) - set(modules))

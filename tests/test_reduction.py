@@ -218,7 +218,7 @@ def test_lift_equals_the_sorted_reference(bucket_rows, monkeypatch):
     # buckets of 0, 10 and 70 bytes (one-byte digits, n <= 10) end the
     # walk at every depth, down to single rows; None keeps the default
     if bucket_rows is not None:
-        monkeypatch.setattr(reduction, "BUCKET_BYTES", bucket_rows * 10)
+        monkeypatch.setattr(core, "STREAM_BYTES", bucket_rows * 10)
     plans = equality_instances(3000, 400)
     assert {plan.modulus for plan in plans} == set(range(2, 13))
     for plan in plans:
@@ -295,7 +295,7 @@ def test_first_row_comes_alone(bucket_rows, monkeypatch, buckets_built):
     # Buckets of 0 and 10 bytes (one-byte digits, n <= 10) take the walk
     # down to single rows or a few
     if bucket_rows is not None:
-        monkeypatch.setattr(reduction, "BUCKET_BYTES", bucket_rows * 10)
+        monkeypatch.setattr(core, "STREAM_BYTES", bucket_rows * 10)
     plans = equality_instances(400, 400)
     if bucket_rows is None:
         # 285,900 rows of 30 bytes; the first bucket holds 3,813
@@ -314,8 +314,9 @@ def test_first_row_comes_alone(bucket_rows, monkeypatch, buckets_built):
 
 def test_lift_tables_memo_starts_over_when_full(monkeypatch):
     # the lift's composition tables share the record writer's bounded
-    # memo: one that starts over at every second entry keeps the rows
-    monkeypatch.setattr(core, "MEMO_ENTRIES", 2)
+    # memo: one that starts over at every second 8-byte key keeps the
+    # rows
+    monkeypatch.setattr(core, "STREAM_BYTES", 16)
     for plan in equality_instances(400, 400):
         normal = normal_cached(plan)
         _, blocks = reduction.lift_blocks(plan, normal)
@@ -378,5 +379,5 @@ def test_a_bucket_of_long_rows_is_bounded_in_bytes():
     finally:
         tracemalloc.stop()
     assert len(first) == 20_001
-    assert 0 < len(second) <= reduction.BUCKET_BYTES
+    assert 0 < len(second) <= core.STREAM_BYTES
     assert peak < 40 * 2**20
