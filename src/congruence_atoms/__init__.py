@@ -10,10 +10,8 @@ from .core import (
     DomainError,
     NormalForm,
     SolutionMetrics,
-    binomial,
     bound_violations,
     euler_phi,
-    leq,
     metrics,
 )
 from .enumeration import (
@@ -48,7 +46,6 @@ from .bounds import (
     bound_simplex,
     log2_rounded,
     partition_count,
-    stirling_central,
     support_capacity,
     table2,
 )

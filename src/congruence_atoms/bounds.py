@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, binomial
+from .core import DomainError
 from .enumeration import count_letters
 from . import tables
 
@@ -20,7 +20,7 @@ def bound_simplex(n, m):
     """Upper bound C(n+m-1, m) for the count over n variables."""
     if n < 1 or m < 2:
         raise DomainError("bound_simplex needs n >= 1, m >= 2")
-    return binomial(n + m - 1, m)
+    return math.comb(n + m - 1, m)
 
 
 def _pi_bracket(bits):
@@ -89,27 +89,7 @@ def support_capacity(m, s):
         raise DomainError("support_capacity needs m >= 4")
     if not (3 <= s and 2 * s <= m):
         raise DomainError("support size must satisfy 3 <= s <= m/2")
-    return binomial(m - s - 1, s - 1)
-
-
-def stirling_central(n):
-    """Exact central binomial C(2n, n) plus its Stirling error bracket.
-
-    Returns (value, (lower, upper)) where value = (4^n / sqrt(pi n)) * E_n
-    and the bracket (e^{-1/(6n)}, 1) provably contains E_n; the bracket
-    is also checked in integers: E_n < 1 iff value**2 pi n < 16**n, and
-    by e^x >= 1 + x, E_n > e^{-1/(6n)} once value**2 pi (3n+1) > 3 * 16**n.
-    """
-    if n < 1:
-        raise DomainError("stirling_central needs n >= 1")
-    value = math.comb(2 * n, n)
-    # the two sides hold by relative margins of about 1/(8n) and 1/(12n)
-    bits = n.bit_length() + 64
-    lo, hi = _pi_bracket(bits)
-    square, power = value * value, 16**n << bits
-    if not (square * n * hi <= power and square * lo * (3 * n + 1) > 3 * power):
-        raise ArithmeticError(f"Stirling bracket violated at n={n}")
-    return value, (math.exp(-1 / (6 * n)), 1.0)
+    return math.comb(m - s - 1, s - 1)
 
 
 # P(0), P(1), ...: partition_count extends it bottom-up as far as needed

@@ -10,13 +10,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 from __future__ import annotations
 
 import argparse
-import base64
 import contextlib
 import json
 import operator
 import os
 import sys
 import time
+import zlib
 from itertools import chain, islice, starmap
 from struct import Struct
 
@@ -55,7 +55,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 # the verdict of a verify check that did not run: neither PASS nor FAIL
 SKIPPED = object()
@@ -177,59 +177,60 @@ def _cache_path(directory, m, J):
 
 def _cache_load(directory, nf):
     """The cached solutions over the alphabet `nf` as (width, block), a
-    block of rows in `core`'s packed-row format, or None on a miss.  The
+    block of rows in `core`'s packed-row format, or None on a miss.  A
+    cache file is one line of JSON header, then the block as it is.  The
     whole file is read and checked first: a missing, unreadable or
     malformed file is a miss, and so is one whose version, m or J
-    differ.  Keys besides version, m, J, count and solutions are
-    ignored."""
+    differ.  Keys besides version, m, J, count and crc32 are ignored."""
     m = nf.modulus
     n = len(nf.support)
     J = _cache_key(nf)
     try:
         with open(_cache_path(directory, m, J), "rb") as fh:
-            data = json.loads(fh.read())
+            data = json.loads(fh.readline())
+            block = fh.read()
     except (OSError, ValueError, RecursionError):
         return None
     if (
         not isinstance(data, dict)
         or data.get("version") != CACHE_VERSION
         or data.get("m") != m
-        or data.get("J") != J
+        or "J" not in data
+        or data["J"] != J
     ):
         return None
-    # records are printed from the rows unchecked: the block must hold
-    # `count` rows of one digit width, none with an item above m (any m
-    # elements of Z_m hold a non-empty zero-sum subsequence)
+    # records are printed from the rows unchecked: the block must match
+    # its checksum and hold `count` rows of one digit width, none with an
+    # item above m (any m elements of Z_m hold a non-empty zero-sum
+    # subsequence)
     count = data.get("count")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         return None
-    try:
-        raw = base64.b64decode(data["solutions"], validate=True)
-    except (KeyError, TypeError, ValueError):
+    if data.get("crc32") != zlib.crc32(block):
         return None
-    width, rest = divmod(len(raw), count * n)
+    width, rest = divmod(len(block), count * n)
     if rest or width not in DIGIT_CODES:
         return None
     if width == 1:
         # one byte per coordinate: one call finds any byte above m
-        bad = raw.translate(None, bytes(range(min(m, 255) + 1)))
+        bad = block.translate(None, bytes(range(min(m, 255) + 1)))
     else:
-        bad = max(map(max, row_struct(n, width).iter_unpack(raw))) > m
-    return None if bad else (width, raw)
+        bad = max(map(max, row_struct(n, width).iter_unpack(block))) > m
+    return None if bad else (width, block)
 
 
 def _cache_store(directory, nf, width, block):
     """Write the solutions over the alphabet `nf`, a block of rows in
-    `core`'s packed-row format with digits `width` bytes wide, as a JSON
-    header and a base64 string."""
+    `core`'s packed-row format with digits `width` bytes wide, as one
+    line of JSON header and then the block, checked by its CRC-32."""
     m = nf.modulus
     J = _cache_key(nf)
-    payload = {
+    header = {
         "version": CACHE_VERSION,
         "m": m,
         "J": J,
         "count": len(block) // (len(nf.support) * width),
-        "solutions": base64.b64encode(block).decode("ascii"),
+        "crc32": zlib.crc32(block),
     }
     # write a temp file next to the target and rename it over, so a
     # reader never sees a partly written cache
@@ -238,9 +239,9 @@ def _cache_store(directory, nf, width, block):
     try:
         os.makedirs(directory, exist_ok=True)
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
-                fh.write("\n")
+            with open(tmp, "wb") as fh:
+                fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+                fh.write(block)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

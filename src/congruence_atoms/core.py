@@ -130,26 +130,21 @@ def check_vector(coords):
     return coords
 
 
-def check_letters(m, letters, name):
+def check_letters(m, letters, name, zero=True):
     """Validate and freeze a letter set mod m: strictly increasing, within
-    [0, m), possibly empty.  `name` names the set in the error message."""
+    [0, m), or (0, m) without `zero`, possibly empty.  `name` names the
+    set in the error message."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
     letters = tuple(letters)
-    if any(j < 0 or j >= m for j in letters):
-        raise DomainError(f"{name} elements must lie in [0, m)")
+    low = 0 if zero else 1
+    if any(j < low or j >= m for j in letters):
+        raise DomainError(f"{name} elements must lie in {'[' if zero else '('}0, m)")
     for a, b in zip(letters, letters[1:]):
         if a >= b:
             fault = f"repeats {a}" if a == b else "must be strictly increasing"
             raise DomainError(f"{name} {fault}")
     return letters
-
-
-def leq(x, y):
-    """Componentwise partial order: x <= y iff x_i <= y_i for every i."""
-    if len(x) != len(y):
-        raise DomainError("dimension mismatch in componentwise comparison")
-    return all(a <= b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -205,15 +200,6 @@ def euler_phi(m):
     if n > 1:
         result -= result // n
     return result
-
-
-def binomial(n, k):
-    """Exact binomial coefficient; 0 outside the range 0 <= k <= n."""
-    if n < 0:
-        raise DomainError("binomial needs n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, euler_phi
+from .core import BudgetExceeded, DomainError, euler_phi
 from .enumeration import is_indecomposable
 
 # the two extra extremal solutions that exist only at m = 6
 M6_EXCEPTIONS = ((0, 2, 1, 0, 1), (1, 0, 1, 2, 0))
+
+# the most vector entries that extremal_all builds: it is refused past
+# this before building anything, from m alone
+ENTRY_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,16 @@ def extremal_width2(m):
 
 
 def extremal_all(m):
-    """Every extremal solution: the two families, plus the m = 6 pair."""
+    """Every extremal solution: the two families, plus the m = 6 pair.
+    Each family has at most m - 1 vectors of m - 1 entries (phi(m) is
+    not computed for the bound), and the m = 6 pair fits in that."""
     if m < 3:
         raise DomainError("extremal classification requires m >= 3")
+    if 2 * (m - 1) ** 2 > ENTRY_BUDGET:
+        raise BudgetExceeded(
+            f"the extremal vectors of m = {m} may take 2(m-1)^2 entries, "
+            f"past the budget of {ENTRY_BUDGET}"
+        )
     out = list(extremal_width1(m)) + list(extremal_width2(m))
     if m == 6:
         out.extend(ExtremalSolution(x, "exceptional") for x in M6_EXCEPTIONS)

@@ -29,10 +29,8 @@ class IndexSet:
     elements: tuple
 
     def __post_init__(self):
-        elems = check_letters(self.modulus, self.elements, "set")
-        if 0 in elems:
-            # 0 is a letter of a normal form, but not an index
-            raise DomainError("set elements must lie in (0, m)")
+        # 0 is a letter of a normal form, but not an index
+        elems = check_letters(self.modulus, self.elements, "set", zero=False)
         object.__setattr__(self, "elements", elems)
 
     @property

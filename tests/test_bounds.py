@@ -16,7 +16,6 @@ from congruence_atoms import (
     log2_rounded,
     naive_minimal_solutions,
     partition_count,
-    stirling_central,
     support_capacity,
     table2,
 )
@@ -95,17 +94,15 @@ def test_bound_q_pinned_at_large_moduli():
 
 
 def test_bound_q_summand_identities():
-    from congruence_atoms.core import binomial
-
     for m in range(4, 30):
-        assert binomial(m - 1, 1) * binomial(m - 2, 0) == m - 1
+        assert math.comb(m - 1, 1) * math.comb(m - 2, 0) == m - 1
         assert (
-            binomial(m - 1, 2) * binomial(m - 3, 1)
+            math.comb(m - 1, 2) * math.comb(m - 3, 1)
             == (m - 1) * (m - 2) * (m - 3) // 2
         )
         # crude sanity cap
         assert bound_q(m) <= sum(
-            binomial(m - 1, s) ** 2 for s in range(1, m // 2 + 1)
+            math.comb(m - 1, s) ** 2 for s in range(1, m // 2 + 1)
         )
 
 
@@ -139,15 +136,6 @@ def test_support_capacity_holds_everywhere(standard_enumerations):
                 if len(supp) == s:
                     counts[supp] = counts.get(supp, 0) + 1
             assert all(v <= cap for v in counts.values()), (m, s)
-
-
-def test_stirling_bracket():
-    for n in (1, 10, 50):
-        value, (lower, upper) = stirling_central(n)
-        assert value == math.comb(2 * n, n)
-        assert 0 < lower < upper == 1.0
-    for n in range(1, 201):
-        stirling_central(n)  # raises if the bracket fails
 
 
 def test_partition_function():
@@ -217,14 +205,13 @@ def test_floor_r_doubles_a_bracket_too_coarse_to_decide(monkeypatch):
 
 
 def test_package_never_imports_mpmath():
-    # with mpmath unimportable, r(m), the Stirling bracket and a live
-    # bounds table still run: mpmath serves only the tests as an oracle
+    # with mpmath unimportable, r(m) and a live bounds table still run: mpmath serves only the tests as an oracle
     code = (
         "import sys\n"
         "sys.modules['mpmath'] = None\n"
         "from congruence_atoms import cli\n"
-        "from congruence_atoms.bounds import bound_r, stirling_central\n"
-        "print(bound_r(12), stirling_central(10)[0])\n"
+        "from congruence_atoms.bounds import bound_r\n"
+        "print(bound_r(12))\n"
         "sys.exit(cli.main(['bounds', '4', '40', '--live']))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -234,7 +221,7 @@ def test_package_never_imports_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == f"{tables.R[12]} {math.comb(20, 10)}"
+    assert lines[0] == f"{tables.R[12]}"
     assert [line.split(",")[0] for line in lines[2:]] == [
         str(m) for m in range(4, 41)
     ]

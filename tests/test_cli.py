@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 import os
@@ -9,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import zlib
 from itertools import islice
 
 import pytest
@@ -21,6 +21,18 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_cache(path):
+    """A cache file's header, parsed from its first line, and its block."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline()), fh.read()
+
+
+def write_cache(path, header, block):
+    """A cache file: the header as one line of JSON, then the block."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n" + block)
 
 
 def test_enumerate_csv(capsys):
@@ -121,12 +133,9 @@ def test_cache_fingerprint_invalidation(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     run_cli(["enumerate", "7", "--cache", cache], capsys)
     path = os.path.join(cache, "enum-m7.json")
-    with open(path) as fh:
-        data = json.load(fh)
-    data["version"] = 2
-    data["solutions"] = []
-    with open(path, "w") as fh:
-        json.dump(data, fh)
+    header, _ = read_cache(path)
+    header["version"] = 3
+    write_cache(path, header, b"")
     _, out, err = run_cli(["enumerate", "7", "--cache", cache], capsys)
     assert "count=47" in err  # recomputed, not the tampered cache
 
@@ -149,41 +158,44 @@ def test_truncated_cache_is_a_miss(tmp_path, capsys):
 
 
 def _set(**fields):
-    return lambda data: data.update(fields)
+    return lambda header, block: header.update(fields)
 
 
 def _tamper_block(edit):
-    def tamper(data):
-        block = bytearray(base64.b64decode(data["solutions"]))
+    # the checksum is made to match the edited block, so that the check
+    # of the block's shape or items is what must find the edit
+    def tamper(header, block):
         edit(block)
-        data["solutions"] = base64.b64encode(block).decode("ascii")
+        header["crc32"] = zlib.crc32(block)
 
     return tamper
 
 
-def _nested_rows(data):
+def _nested_rows(header, block):
     from congruence_atoms import enumerate_standard
 
-    data["solutions"] = [list(x) for x in enumerate_standard(7).solutions]
+    header["solutions"] = [list(x) for x in enumerate_standard(7).solutions]
+    _tamper_block(bytearray.clear)(header, block)
 
 
-def _one_row_counted_true(data):
-    _tamper_block(lambda b: b.__delitem__(slice(6, None)))(data)
-    data["count"] = True  # == 1
+def _one_row_counted_true(header, block):
+    _tamper_block(lambda b: b.__delitem__(slice(6, None)))(header, block)
+    header["count"] = True  # == 1
 
 
-def _version_1(data):
+def _version_1(header, block):
     # the list-of-lists layout of the first cache version
-    _nested_rows(data)
-    data["version"] = 1
-    del data["count"]
+    _nested_rows(header, block)
+    header["version"] = 1
+    del header["count"], header["crc32"]
 
 
 # each edit of a good enum-m7.json (47 rows of 6 one-byte coordinates)
 # that must make it a miss; the first eight plant in the header or the
 # block the kinds of bad value that list rows could hold.  A doubled
 # block reads as 47 rows of two-byte digits, some above m; a tripled one
-# as three-byte digits, which no row has
+# as three-byte digits, which no row has.  Only the checksum finds a
+# changed block byte that leaves every coordinate within 0..m
 MALFORMED_CACHE = {
     "negative": _set(count=-1),
     "string": _set(count="47"),
@@ -192,21 +204,24 @@ MALFORMED_CACHE = {
     "true": _one_row_counted_true,
     "null": _set(count=None),
     "nested": _nested_rows,
-    "short": _tamper_block(lambda b: b.pop()),
+    "short": _tamper_block(bytearray.pop),
     "row-long": _tamper_block(lambda b: b.extend(b[:6])),
     "block-doubled": _tamper_block(lambda b: b.extend(bytes(b))),
     "block-tripled": _tamper_block(lambda b: b.extend(bytes(b) * 2)),
     "count-one-more": _set(count=48),
     "coordinate-above-m": _tamper_block(lambda b: b.__setitem__(-1, 8)),
-    # b64decode without validate=True would skip the "*"
-    "invalid-base64": lambda data: data.update(solutions="*" + data["solutions"]),
-    "solutions-missing": lambda data: data.pop("solutions"),
+    "block-byte-changed": lambda header, block: block.__setitem__(-1, block[-1] ^ 1),
+    "crc32-missing": lambda header, block: header.pop("crc32"),
     "version-1": _version_1,
     # version 2 packed little-endian digits as wide as m needs
     "version-2": _set(version=2),
-    "version-4": _set(version=4),
+    # version 3 held the block as base64 in the JSON
+    "version-3": _set(version=3),
+    "version-5": _set(version=5),
     "other-m": _set(m=8),
     "other-J": _set(J=[1, 2, 3, 4, 5, 6]),
+    # J is null for 1..m-1: a header without J names no alphabet
+    "J-missing": lambda header, block: header.pop("J"),
 }
 
 
@@ -218,16 +233,41 @@ def test_malformed_cache_entries_are_a_miss(tmp_path, capsys, tamper):
     path = os.path.join(cache, "enum-m7.json")
     with open(path, "rb") as fh:
         whole = fh.read()
-    data = json.loads(whole)
-    tamper(data)
-    with open(path, "w") as fh:
-        json.dump(data, fh)
+    header, block = read_cache(path)
+    block = bytearray(block)
+    tamper(header, block)
+    write_cache(path, header, block)
     code, out, err = run_cli(["enumerate", "7", "--cache", cache], capsys)
     assert code == 0
     assert out == expected
     assert "count=47" in err
     with open(path, "rb") as fh:
         assert fh.read() == whole  # rewritten
+
+
+@pytest.mark.parametrize("m, J", [(12, None), (13, (1, 5, 12))], ids=["m12", "m13-J1-5-12"])
+def test_changed_cache_bytes_never_print_a_wrong_row(tmp_path, capsys, m, J):
+    # 1 to 3 bytes of a good cache file, in its header or its block,
+    # changed at random: each such file is a miss, so the run prints the
+    # cold bytes and rewrites the good file
+    argv = ["enumerate", str(m)]
+    if J is not None:
+        argv += ["--support", ",".join(map(str, J))]
+    _, cold, _ = run_cli(argv, capsys)
+    cache = tmp_path / "cache"
+    argv += ["--cache", str(cache)]
+    run_cli(argv, capsys)
+    [path] = cache.iterdir()
+    whole = path.read_bytes()
+    rng = random.Random(31)
+    for trial in range(200):
+        changed = bytearray(whole)
+        for i in rng.sample(range(len(whole)), rng.randint(1, 3)):
+            changed[i] ^= rng.randrange(1, 256)
+        path.write_bytes(changed)
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == (0, cold), (trial, bytes(changed))
+        assert path.read_bytes() == whole, (trial, bytes(changed))  # rewritten
 
 
 def test_deeply_nested_cache_is_a_miss(tmp_path, capsys):
@@ -254,11 +294,11 @@ def test_uncacheable_moduli(tmp_path, capsys):
     # a well-formed file for m = 1 (no columns) is a miss, not a crash
     cache = str(tmp_path / "cache")
     os.makedirs(cache)
-    with open(os.path.join(cache, "enum-m1.json"), "w") as fh:
-        json.dump(
-            {"version": CACHE_VERSION, "m": 1, "J": None, "count": 0, "solutions": ""},
-            fh,
-        )
+    write_cache(
+        os.path.join(cache, "enum-m1.json"),
+        {"version": CACHE_VERSION, "m": 1, "J": None, "count": 0, "crc32": 0},
+        b"",
+    )
     code, out, err = run_cli(["enumerate", "1", "--cache", cache], capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
 
@@ -268,25 +308,32 @@ def test_cache_file_layout(tmp_path, capsys):
 
     cache = str(tmp_path / "cache")
     run_cli(["enumerate", "7", "--cache", cache], capsys)
-    with open(os.path.join(cache, "enum-m7.json")) as fh:
-        data = json.load(fh)
-    assert list(data) == ["version", "m", "J", "count", "solutions"]
-    assert data["version"] == 3 and data["count"] == 47
+    path = os.path.join(cache, "enum-m7.json")
+    header, block = read_cache(path)
+    assert list(header) == ["version", "m", "J", "count", "crc32"]
+    assert header["version"] == 4 and header["count"] == 47
     solutions = enumerate_standard(7).solutions
-    # one byte per coordinate, row-major
-    assert base64.b64decode(data["solutions"]) == bytes(
-        c for x in solutions for c in x
-    )
+    # one byte per coordinate, row-major, after the one header line
+    assert block == bytes(c for x in solutions for c in x)
+    assert header["crc32"] == zlib.crc32(block)
+    with open(path, "rb") as fh:
+        assert fh.read() == (
+            b'{"version":4,"m":7,"J":null,"count":47,"crc32":%d}\n' % zlib.crc32(block)
+            + block
+        )
 
 
 @pytest.mark.parametrize(
     "stamp", ['"engine":"closing-letter/2",', ""], ids=["parent-key", "no-key"]
 )
-def test_version_3_file_is_a_hit_with_or_without_an_engine_key(
-    tmp_path, capsys, monkeypatch, stamp
+def test_version_3_file_is_a_miss_with_or_without_an_engine_key(
+    tmp_path, capsys, stamp
 ):
-    # version-3 files were once written with an "engine" key; the block is
-    # the same either way, so both files are hits and print the cold bytes
+    # version 3 held the block as base64 in the JSON, once also with an
+    # "engine" key: both files are misses, print the cold bytes and are
+    # rewritten in version 4
+    import base64
+
     from congruence_atoms import enumerate_standard
 
     _, cold, _ = run_cli(["enumerate", "7"], capsys)
@@ -298,14 +345,10 @@ def test_version_3_file_is_a_hit_with_or_without_an_engine_key(
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "enum-m7.json").write_bytes(whole)
-
-    def no_engine(nf):
-        raise AssertionError("a cache hit must not reach the engine")
-
-    monkeypatch.setattr(cli, "enumerate_normal_form", no_engine)
     code, out, _ = run_cli(["enumerate", "7", "--cache", str(cache)], capsys)
     assert (code, out) == (0, cold)
-    assert (cache / "enum-m7.json").read_bytes() == whole  # not rewritten
+    header, stored = read_cache(cache / "enum-m7.json")
+    assert header["version"] == 4 and stored == block
 
 
 @pytest.mark.parametrize("m, code", [(65536, ">I"), (2**32, ">Q")])
@@ -326,21 +369,18 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     path = os.path.join(cache, f"enum-m{m}-J1-{m - 1}.json")
     with open(path, "rb") as fh:
         whole = fh.read()
-    data = json.loads(whole)
-    assert data["count"] == 3
-    block = base64.b64decode(data["solutions"])
+    header, block = read_cache(path)
+    assert header["count"] == 3
     assert block == packed
     assert _cache_load(cache, nf) == (w, packed)
     # re-storing what was loaded writes the same bytes
     _cache_store(cache, nf, *_cache_load(cache, nf))
     with open(path, "rb") as fh:
         assert fh.read() == whole
-    # a coordinate of m + 1 makes the file a miss: the last row (m, 0)
-    # becomes (m + 1, 0)
+    # a coordinate of m + 1 makes the file a miss, its checksum matching:
+    # the last row (m, 0) becomes (m + 1, 0)
     bad = block[: -2 * w] + struct.pack(code, m + 1) + block[-w:]
-    data["solutions"] = base64.b64encode(bad).decode("ascii")
-    with open(path, "w") as fh:
-        json.dump(data, fh)
+    write_cache(path, dict(header, crc32=zlib.crc32(bad)), bad)
     assert _cache_load(cache, nf) is None
 
 
@@ -361,11 +401,11 @@ def test_wide_cache_round_trip(tmp_path, capsys):
     path = os.path.join(cache, "enum-m300-J1-299.json")
     with open(path, "rb") as fh:
         whole = fh.read()
-    data = json.loads(whole)
-    assert data["count"] == 3
+    header, stored = read_cache(path)
+    assert header["count"] == 3
     # the rows (0, 300), (1, 1), (300, 0)
     block = bytes([0, 0, 1, 44, 0, 1, 0, 1, 1, 44, 0, 0])
-    assert base64.b64decode(data["solutions"]) == block
+    assert stored == block
     assert _cache_load(cache, NormalForm(300, (1, 299))) == (2, block)
     for fmt in ("json", "csv", "text"):
         _, cold, _ = run_cli(
@@ -373,12 +413,10 @@ def test_wide_cache_round_trip(tmp_path, capsys):
         )
         _, hit, _ = run_cli(argv + ["--format", fmt], capsys)
         assert hit == cold, fmt
-    # a coordinate above m in the wide block is a miss
-    data["solutions"] = base64.b64encode(
-        bytes([0, 0, 1, 45, 0, 1, 0, 1, 1, 44, 0, 0])
-    ).decode("ascii")
-    with open(path, "w") as fh:
-        json.dump(data, fh)
+    # a coordinate above m in the wide block is a miss, its checksum
+    # matching
+    bad = bytes([0, 0, 1, 45, 0, 1, 0, 1, 1, 44, 0, 0])
+    write_cache(path, dict(header, crc32=zlib.crc32(bad)), bad)
     _, hit, _ = run_cli(argv + ["--format", "csv"], capsys)
     assert "0;300,300,1,89700,301" in hit.splitlines()
     with open(path, "rb") as fh:
@@ -526,14 +564,14 @@ def test_bad_support_never_reads_the_cache(tmp_path, capsys):
     # no NormalForm holds it, so _cache_store cannot write it
     cache = tmp_path / "cache"
     cache.mkdir()
-    payload = {
+    header = {
         "version": CACHE_VERSION,
         "m": 5,
         "J": [5],
         "count": 1,
-        "solutions": base64.b64encode(bytes([1])).decode("ascii"),
+        "crc32": zlib.crc32(bytes([1])),
     }
-    (cache / "enum-m5-J5.json").write_text(json.dumps(payload) + "\n")
+    write_cache(cache / "enum-m5-J5.json", header, bytes([1]))
     code, out, err = run_cli(
         ["enumerate", "5", "--support", "5", "--cache", str(cache)], capsys
     )
@@ -977,6 +1015,25 @@ def test_extremal_command(capsys):
     assert sum(1 for r in rows if r["class"] == "exceptional") == 2
 
 
+@pytest.mark.parametrize("m", [2**64, 10**6])
+def test_extremal_past_its_budget_is_refused_before_building(capsys, m):
+    # 2(m - 1) vectors of m - 1 entries bound the listing from m alone;
+    # past the budget nothing is built or printed
+    code, out, err = run_cli(["extremal", str(m)], capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+
+
+def test_extremal_budget_bounds_the_entries(monkeypatch, capsys):
+    # at a budget of 2 * 6**2 entries, m = 7 is listed and m = 8 refused
+    from congruence_atoms import extremal
+
+    _, listed, _ = run_cli(["extremal", "7"], capsys)
+    monkeypatch.setattr(extremal, "ENTRY_BUDGET", 2 * 6**2)
+    assert run_cli(["extremal", "7"], capsys)[:2] == (0, listed)
+    assert run_cli(["extremal", "8"], capsys)[:2] == (3, "")
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(["bounds", "4", "9"], capsys)
     assert code == 0
@@ -1238,17 +1295,16 @@ def test_cache_stores_the_blocks_of_the_lift(tmp_path, capsys):
         argv = ["enumerate", str(m), "--support", ",".join(map(str, J))]
         assert run_cli(argv + ["--cache", str(cache)], capsys)[0] == 0
         [name] = os.listdir(cache)
-        data = json.loads((cache / name).read_text())
         result = enumerate_normal_form(NormalForm(m, J))
         plan = build_plan(CongruenceInstance(m, J))
         lifted = b"".join(lift_blocks(plan, result)[1])
-        assert base64.b64decode(data["solutions"]) == lifted, (m, J)
+        assert read_cache(cache / name)[1] == lifted, (m, J)
 
 
 def test_little_endian_version_2_file_is_a_miss(tmp_path, capsys):
     # the file that version 2 wrote for these atoms: two-byte digits,
-    # little-endian.  Read as version 3's big-endian digits its rows would
-    # be (0, 2), (256, 1) and (512, 0), each within 0..m
+    # little-endian.  Read as big-endian digits its rows would be (0, 2),
+    # (256, 1) and (512, 0), each within 0..m
     argv = ["enumerate", "512", "--support", "256,511", "--format", "csv"]
     _, cold, _ = run_cli(argv, capsys)
     cache = tmp_path / "cache"
@@ -1260,8 +1316,8 @@ def test_little_endian_version_2_file_is_a_miss(tmp_path, capsys):
     code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert (code, out) == (0, cold)
     assert "0;512,512,1,261632,513" in cold.splitlines()
-    data = json.loads((cache / "enum-m512-J256-511.json").read_text())
-    assert data["version"] == 3  # rewritten
+    header, _ = read_cache(cache / "enum-m512-J256-511.json")
+    assert header["version"] == cli.CACHE_VERSION  # rewritten
 
 
 @pytest.mark.parametrize(
@@ -1316,6 +1372,13 @@ def test_diversity_witness(capsys):
     code, out, _ = run_cli(["diversity", "--modulus", "3", "--set", "1,2"], capsys)
     assert code == 0
     assert "admissible=False" in out and "witness=1,2" in out
+
+
+@pytest.mark.parametrize("option", [["--set", "7"], ["--set=-1,2"], ["--set", "0,2"]])
+def test_diversity_set_out_of_range_is_one_error(capsys, option):
+    # an index lies in (0, m): above it, below it and at 0 get one message
+    code, out, err = run_cli(["diversity", "--modulus", "7", *option], capsys)
+    assert (code, out, err) == (2, "", "error: set elements must lie in (0, m)\n")
 
 
 def test_verify_suites_pass(capsys):

@@ -12,10 +12,8 @@ from congruence_atoms import (
     CongruenceInstance,
     DomainError,
     NormalForm,
-    binomial,
     bound_violations,
     euler_phi,
-    leq,
     metrics,
 )
 from congruence_atoms.core import Memo, closure_mask, compositions
@@ -89,40 +87,6 @@ def test_euler_phi_multiplicative():
         for b in range(1, 1000 // a + 1):
             if math.gcd(a, b) == 1:
                 assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
-
-
-def test_binomial_values():
-    assert binomial(3, 2) == 3
-    assert binomial(5, 3) == 10  # the 2m-3 choose m-1 case at m=4
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
-
-
-def test_binomial_pascal_exhaustive():
-    # Pascal-recurrence oracle, independent of math.comb
-    row = [1]
-    for n in range(65):
-        for k, value in enumerate(row):
-            assert binomial(n, k) == value
-            assert binomial(n, n - k) == value
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-
-
-def test_binomial_large_exact():
-    pascal = [[1]]
-    for n in range(1, 46):
-        prev = pascal[-1]
-        pascal.append(
-            [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-        )
-    assert binomial(45, 22) == pascal[45][22]
-
-
-def test_leq_partial_order():
-    assert leq((1, 0), (2, 0))
-    assert not leq((2, 0), (1, 5))
-    with pytest.raises(DomainError):
-        leq((1,), (1, 2))
 
 
 def test_congruence_instance_normalization():
