@@ -35,8 +35,6 @@ from .extremal import (
     ExtremalSolution,
     extremal_all,
     extremal_filter,
-    extremal_width1,
-    extremal_width2,
     verify_extremal,
 )
 from .bounds import (

@@ -311,8 +311,9 @@ def cmd_solve(args):
 
 def cmd_extremal(args):
     out, err = sys.stdout, sys.stderr
-    extremal = extremal_all(args.m)
-    for sol in extremal:
+    count = 0
+    # each vector is printed as it is built
+    for count, sol in enumerate(extremal_all(args.m), 1):
         if args.format == "json":
             line = json.dumps(
                 {
@@ -329,7 +330,7 @@ def cmd_extremal(args):
                 f"class={sol.width_class} i={index}"
             )
         print(line, file=out)
-    print(f"m={args.m} extremal_count={len(extremal)}", file=err)
+    print(f"m={args.m} extremal_count={count}", file=err)
     return EXIT_OK
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BudgetExceeded, DomainError, euler_phi
+from .core import BudgetExceeded, DomainError
 from .enumeration import is_indecomposable
 
 # the two extra extremal solutions that exist only at m = 6
 M6_EXCEPTIONS = ((0, 2, 1, 0, 1), (1, 0, 1, 2, 0))
 
-# the most vector entries that extremal_all builds: it is refused past
-# this before building anything, from m alone
+# the most vector entries that extremal_all lists: past this it is
+# refused when called, from m alone
 ENTRY_BUDGET = 50_000_000
 
 
@@ -31,48 +31,13 @@ class ExtremalSolution:
     generator_index: int = None  # the i of the family construction
 
 
-def extremal_width1(m):
-    """The phi(m) solutions m*e_i with gcd(i, m) = 1."""
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    out = []
-    for i in range(1, m):
-        if math.gcd(i, m) == 1:
-            x = [0] * (m - 1)
-            x[i - 1] = m
-            out.append(ExtremalSolution(tuple(x), "width1", i))
-    assert len(out) == euler_phi(m)
-    return tuple(out)
-
-
-def extremal_width2(m):
-    """The solutions (m-2)*e_i + e_j with gcd(i, m) = 1, j = 2i mod m.
-
-    Distinct vectors only; at m = 3 the two generators collide.
-    """
-    if m < 3:
-        raise DomainError("width-2 family requires m >= 3")
-    out = []
-    seen = set()
-    for i in range(1, m):
-        if math.gcd(i, m) != 1:
-            continue
-        j = (2 * i) % m
-        assert j != 0, "2i = 0 mod m impossible for gcd(i, m) = 1, m >= 3"
-        x = [0] * (m - 1)
-        x[i - 1] += m - 2
-        x[j - 1] += 1
-        x = tuple(x)
-        if x not in seen:
-            seen.add(x)
-            out.append(ExtremalSolution(x, "width2", i))
-    return tuple(out)
-
-
 def extremal_all(m):
-    """Every extremal solution: the two families, plus the m = 6 pair.
-    Each family has at most m - 1 vectors of m - 1 entries (phi(m) is
-    not computed for the bound), and the m = 6 pair fits in that."""
+    """Every extremal solution, in increasing vector order: the two
+    families, plus the m = 6 pair.  m and the budget are checked at
+    once, from m alone: each family has at most m - 1 vectors of m - 1
+    entries (phi(m) is not computed for the bound), and the m = 6 pair
+    fits in that.  The listing that comes back holds O(m) sparse keys
+    and builds each dense vector as it is read."""
     if m < 3:
         raise DomainError("extremal classification requires m >= 3")
     if 2 * (m - 1) ** 2 > ENTRY_BUDGET:
@@ -80,11 +45,30 @@ def extremal_all(m):
             f"the extremal vectors of m = {m} may take 2(m-1)^2 entries, "
             f"past the budget of {ENTRY_BUDGET}"
         )
-    out = list(extremal_width1(m)) + list(extremal_width2(m))
+    return _listing(m)
+
+
+def _listing(m):
+    # a vector's key is (-position, value) for each non-zero entry, in
+    # position order: keys sort as the dense vectors do.  A vector that
+    # two generators give keeps the first i (at m = 3, (1, 1) is i = 1)
+    found = {}
+    for i in range(1, m):
+        if math.gcd(i, m) == 1:
+            found.setdefault(((-i, m),), ("width1", i))
+            # j = 2i mod m is neither 0 nor i, as gcd(i, m) = 1, m >= 3
+            j = (2 * i) % m
+            entries = sorted(((-i, m - 2), (-j, 1)), reverse=True)
+            found.setdefault(tuple(entries), ("width2", i))
     if m == 6:
-        out.extend(ExtremalSolution(x, "exceptional") for x in M6_EXCEPTIONS)
-    out.sort(key=lambda s: s.vector)
-    return tuple(out)
+        for x in M6_EXCEPTIONS:
+            key = tuple((-p, c) for p, c in enumerate(x, 1) if c)
+            found[key] = ("exceptional", None)
+    for key in sorted(found):
+        x = [0] * (m - 1)
+        for p, c in key:  # p is minus the position
+            x[-p - 1] = c
+        yield ExtremalSolution(tuple(x), *found[key])
 
 
 def extremal_filter(solutions, m):
@@ -96,13 +80,14 @@ def verify_extremal(m, result):
     """Check the classification against `result`, the enumeration of
     the standard congruence mod m.
 
-    Filters the full solution set for total size m + 1 and compares with
-    extremal_all(m); also checks width <= 3 and (for m >= 4) the unique
-    coordinate >= 2.  Raises AssertionError on any mismatch, also under -O.
+    Filters the full solution set for total size m + 1 and compares it
+    with extremal_all(m) in order, as both are sorted; also checks
+    width <= 3 and (for m >= 4) the unique coordinate >= 2.  Raises
+    AssertionError on any mismatch, also under -O.
     """
     filtered = extremal_filter(result.solutions, m)
-    constructed = sorted(s.vector for s in extremal_all(m))
-    if sorted(filtered) != constructed:
+    constructed = tuple(s.vector for s in extremal_all(m))
+    if filtered != constructed:
         raise AssertionError(m, filtered, constructed)
     for x in filtered:
         width = sum(1 for c in x if c)
