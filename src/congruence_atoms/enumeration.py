@@ -83,9 +83,9 @@ def _walk_tables(m, letters, marked=(), width=0):
 def _walk(visit, pos=0, mask=0, total=0):
     """Run a walk from the node (pos, mask, total), by default the empty
     multiset.  The walks recurse once per letter, so a long atom (at m of
-    about 1000 and up) can outrun the recursion limit; and the closure
-    step's 1 << m is an OverflowError past about m = 2**65 (a MemoryError,
-    which the CLI refuses, below)."""
+    about 1000 and up) can outrun the recursion limit; and a closure step
+    shifts by up to m bits, an OverflowError past about m = 2**66 (a
+    MemoryError, which the CLI refuses, below)."""
     try:
         return visit(pos, mask, total)
     except RecursionError:
@@ -138,17 +138,30 @@ def _count_walk(m, letters, marked=(), root=(0, 0, 0)):
     memos = [{} for _ in tails]
 
     def visit(pos, mask, total):
-        memo = memos[pos]
-        key = mask * m + total
-        n = memo.get(key)
-        if n is None:
-            n = 0
-            for j, a, back, shift in tails[pos]:
-                if back == total:
-                    n += 1 << shift
-                elif not mask >> back & 1:
-                    n += visit(j, closure_step(mask, a, m), (total + a) % m) << shift
-            memo[key] = n
+        # a node's caller probes the memo, so a memo hit makes no call.
+        # The child's mask is core.closure_step written out: the counter
+        # makes one step per edge, and the call was a tenth of its time.
+        # It builds no constant of m, so a step that overflows does so
+        # inside _walk, which refuses it
+        n = 0
+        low = mask | 1
+        for j, a, back, shift in tails[pos]:
+            if back == total:
+                n += 1 << shift
+            elif not mask >> back & 1:
+                shifted = low << a
+                wrapped = shifted >> m
+                child = mask | wrapped | (shifted ^ (wrapped << m))
+                t = total + a
+                if t >= m:
+                    t -= m
+                memo = memos[j]
+                key = child * m + t
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = visit(j, child, t)
+                if value:
+                    n += value << shift
         return n
 
     return _walk(visit, *root)

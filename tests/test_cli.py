@@ -1071,6 +1071,33 @@ def test_bounds_past_the_int_printing_limit_is_a_budget_refusal(m_min, m_max):
     assert proc.stderr.startswith("budget exceeded: ")
 
 
+@pytest.mark.parametrize(
+    "m_min, m_max",
+    [(1001, 1001), (7143, 7143), (4, 7143)],
+    ids=["1001", "7143", "4-7143"],
+)
+def test_bounds_live_past_the_walks_depth_check_is_refused_before_the_header(
+    m_min, m_max
+):
+    # the walk over 1..m-1 holds letter 1, of order m, so past the default
+    # recursion limit of 1000 it is refused from m_max alone, before the
+    # header and before the rows up to the limit take their endless time.
+    # A child process, so that a hang fails the test at its timeout
+    argv = ["bounds", str(m_min), str(m_max), "--live"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_atoms.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "budget exceeded: the closing-letter walk is deeper than the recursion limit\n"
+    )
+
+
 def test_bounds_prints_each_row_as_it_is_made():
     # the rows up to m = 7143 take about 90 s in all; the header and the
     # m = 4 row must come at once.  The timer kills a child that holds

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -21,6 +22,7 @@ from congruence_atoms import (
     solve_n1,
 )
 from congruence_atoms import tables
+from congruence_atoms.core import closure_step
 from congruence_atoms.enumeration import _count_walk
 
 
@@ -62,6 +64,32 @@ def test_class_count_matches_the_unmarked_walk_past_the_table():
     for m in range(24, 29):
         letters = tuple(range(1, m))
         assert count_letters(m, letters) == _count_walk(m, letters), m
+
+
+def test_class_walk_digits_count_the_atoms_by_their_class_letters(
+    standard_enumerations,
+):
+    # the walk of class d runs from one copy of letter d over the letters
+    # of gcd >= d with C_d = {a : gcd(a, m) = d} marked, and its digit k
+    # counts the atoms S that hold d, have every letter of gcd >= d, and
+    # hold u_d(S) = k + 1 distinct letters of C_d; checked digit by digit
+    # against the listed atoms, not only through the weighted sum
+    for m in range(3, 17):
+        letters = range(1, m)
+        for d in (d for d in letters if m % d == 0):
+            alphabet = tuple(a for a in letters if math.gcd(a, m) >= d)
+            marked = frozenset(a for a in alphabet if math.gcd(a, m) == d)
+            value = _count_walk(m, alphabet, marked, (0, closure_step(0, d, m), d))
+            digits = [
+                value >> k & (1 << 2 * m) - 1
+                for k in range(0, value.bit_length(), 2 * m)
+            ]
+            histogram = Counter()
+            for x in standard_enumerations[m].solutions:
+                held = [a for a, c in zip(letters, x) if c]
+                if x[d - 1] and all(math.gcd(a, m) >= d for a in held):
+                    histogram[sum(a in marked for a in held) - 1] += 1
+            assert digits == [histogram[k] for k in range(max(histogram) + 1)], (m, d)
 
 
 def test_counts_are_unit_invariant():
