@@ -23,7 +23,6 @@ from struct import Struct
 from . import tables
 from .bounds import bound_q, bound_r, partition_count, table2_rows
 from .core import (
-    DIGIT_CODES,
     BudgetExceeded,
     CongruenceInstance,
     DomainError,
@@ -107,23 +106,24 @@ def _chunk_fields(unpack, lead, sep, letters, digits):
     return make
 
 
-def _print_records(fmt, m, width, letters, blocks, started, cap=None, total=None):
+def _print_records(fmt, m, letters, blocks, started, cap=None, total=None):
     """The one record path of `enumerate` and `solve`: the records of the
     rows of `blocks` on stdout, at most `cap` if given (no row past it is
     read), then on stderr the cap note if the row count `total` is past
     the cap and the summary, its elapsed_ms from the time `started`.
 
-    A row is n = len(letters) digits of `width` bytes in `core`'s
-    packed-row format (`core.row_struct`); one struct splits it into
-    three byte chunks at the digit cuts (0, n - 2k, n - k, n), k = n // 3,
-    so the first chunk is never empty.  Per chunk position a memo maps
-    the chunk's bytes to the text, length, width and weight of its
-    coordinates: chunk 0's text starts with the record head, the others'
-    with the separator.  One more memo maps (length, width, weight) to
-    the record tail.  Rows repeat their chunks, so a row costs three
-    memo hits, a few adds and a tail lookup.  A chunk memo is bounded
-    by its keys' (hi - lo) * width bytes (`core.Memo`)."""
+    A row is n = len(letters) digits of `core.row_width` bytes, for the
+    set of the letters, in `core`'s packed-row format; one struct splits
+    it into three byte chunks at the digit cuts (0, n - 2k, n - k, n),
+    k = n // 3, so the first chunk is never empty.  Per chunk position a
+    memo maps the chunk's bytes to the text, length, width and weight of
+    its coordinates: chunk 0's text starts with the record head, the
+    others' with the separator.  One more memo maps (length, width,
+    weight) to the record tail.  Rows repeat their chunks, so a row costs
+    three memo hits, a few adds and a tail lookup.  A chunk memo is
+    bounded by its keys' (hi - lo) * width bytes (`core.Memo`)."""
     head, sep, tail = _TEMPLATES[fmt]
+    width = row_width(m, set(letters))
     # a one-byte digit is below 256; a wider one takes its decimal form
     # on first use
     digits = _DIGITS if width == 1 else Memo(str)
@@ -176,16 +176,18 @@ def _cache_path(directory, m, J):
 
 
 def _cache_load(directory, nf):
-    """The cached solutions over the alphabet `nf` as (width, block), a
-    block of rows in `core`'s packed-row format, or None on a miss.  A
-    cache file is one line of JSON header, then the block as it is.  The
-    whole file is read and checked first: a missing, unreadable or
-    malformed file is a miss, and so is one whose version, m or J
-    differ.  Keys besides version, m, J, count and crc32 are ignored."""
+    """The cached solutions over the alphabet `nf` as a block of rows in
+    `core`'s packed-row format, or None on a miss.  A cache file is one
+    line of JSON header, then the block as it is.  The whole file is read
+    and checked first: a missing, unreadable or malformed file is a miss,
+    and so is one whose version, m or J differ.  Keys besides version, m,
+    J, count and crc32 are ignored."""
     m = nf.modulus
     n = len(nf.support)
     J = _cache_key(nf)
     try:
+        # an alphabet that no width holds raises DomainError, a ValueError
+        width = row_width(m, nf.support)
         with open(_cache_path(directory, m, J), "rb") as fh:
             data = json.loads(fh.readline())
             block = fh.read()
@@ -200,36 +202,35 @@ def _cache_load(directory, nf):
     ):
         return None
     # records are printed from the rows unchecked: the block must match
-    # its checksum and hold `count` rows of one digit width, none with an
-    # item above m (any m elements of Z_m hold a non-empty zero-sum
-    # subsequence)
+    # its checksum and hold `count` rows of the alphabet's digit width,
+    # none with an item above m (any m elements of Z_m hold a non-empty
+    # zero-sum subsequence)
     count = data.get("count")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         return None
     if data.get("crc32") != zlib.crc32(block):
         return None
-    width, rest = divmod(len(block), count * n)
-    if rest or width not in DIGIT_CODES:
+    if len(block) != count * n * width:
         return None
     if width == 1:
         # one byte per coordinate: one call finds any byte above m
         bad = block.translate(None, bytes(range(min(m, 255) + 1)))
     else:
         bad = max(map(max, row_struct(n, width).iter_unpack(block))) > m
-    return None if bad else (width, block)
+    return None if bad else block
 
 
-def _cache_store(directory, nf, width, block):
+def _cache_store(directory, nf, block):
     """Write the solutions over the alphabet `nf`, a block of rows in
-    `core`'s packed-row format with digits `width` bytes wide, as one
-    line of JSON header and then the block, checked by its CRC-32."""
+    `core`'s packed-row format, as one line of JSON header and then the
+    block, checked by its CRC-32."""
     m = nf.modulus
     J = _cache_key(nf)
     header = {
         "version": CACHE_VERSION,
         "m": m,
         "J": J,
-        "count": len(block) // (len(nf.support) * width),
+        "count": len(block) // (len(nf.support) * row_width(m, nf.support)),
         "crc32": zlib.crc32(block),
     }
     # write a temp file next to the target and rename it over, so a
@@ -270,20 +271,18 @@ def cmd_enumerate(args):
         print(count_letters(m, letters))
         return EXIT_OK
     started = time.monotonic()
-    hit = _cache_load(args.cache, nf) if args.cache else None
-    if hit is None:
+    block = _cache_load(args.cache, nf) if args.cache else None
+    if block is None:
         if args.naive:
             solutions = enumerate_naive(m, letters).solutions
         else:
             solutions = enumerate_normal_form(nf).solutions
-        # packed once, as the lift packs its rows; stored and printed
-        width = row_width(solutions)
-        block = b"".join(starmap(row_struct(len(letters), width).pack, solutions))
+        # packed once after the listing, which refuses first; stored and printed
+        pack = row_struct(len(letters), row_width(m, letters)).pack
+        block = b"".join(starmap(pack, solutions))
         if args.cache:
-            _cache_store(args.cache, nf, width, block)
-    else:
-        width, block = hit
-    _print_records(args.format, m, width, letters, [block], started)
+            _cache_store(args.cache, nf, block)
+    _print_records(args.format, m, letters, [block], started)
     return EXIT_OK
 
 
@@ -298,12 +297,12 @@ def cmd_solve(args):
     if args.count_only:
         print(count_general(plan, normal))
         return EXIT_OK
-    width, blocks = lift_blocks(plan, normal)
+    blocks = lift_blocks(plan, normal)
     # the cap note comes from the row count: no row past the cap is built
     total = None if args.max_rows is None else count_general(plan, normal)
     # the weight is taken over the coefficients reduced mod m
     _print_records(
-        args.format, args.modulus, width, inst.coefficients, blocks, started,
+        args.format, args.modulus, inst.coefficients, blocks, started,
         args.max_rows, total,
     )
     return EXIT_OK

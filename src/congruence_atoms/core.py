@@ -34,7 +34,8 @@ def closure_step(mask, t, m):
     the extended multiset has a non-empty zero-sum sub-multiset."""
     # {t} is rot({0}, t); the bits shifted past m - 1 wrap round to 0
     shifted = (mask | 1) << t
-    return mask | (shifted & ((1 << m) - 1)) | (shifted >> m)
+    wrapped = shifted >> m
+    return mask | wrapped | (shifted ^ (wrapped << m))
 
 
 def closure_mask(items, m):
@@ -61,16 +62,13 @@ def refuse_deep_walk(m, letters):
 DIGIT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def digit_width(top):
-    """The narrowest digit width in bytes that holds 0..top, or None."""
-    return next((w for w in DIGIT_CODES if top < 1 << 8 * w), None)
-
-
-def row_width(rows):
-    """The digit width of packed rows: the narrowest that holds their
-    largest coordinate.  An entry past 64 bits fits no width."""
-    top = max(map(max, rows), default=0)
-    width = digit_width(top)
+def row_width(m, letters):
+    """The digit width of the atoms over the letters mod m, or past 64
+    bits a DomainError: the narrowest that holds max ord(a) = m/gcd(a, m).
+    No atom holds a**ord(a) as a proper part, since a**ord(a) is zero-sum;
+    and a**ord(a) is itself an atom, so the bound is reached."""
+    top = max(m // math.gcd(a, m) for a in letters)
+    width = next((w for w in DIGIT_CODES if top < 1 << 8 * w), None)
     if width is None:
         raise DomainError(f"an atom entry of {top} does not fit in 64 bits")
     return width

@@ -40,6 +40,7 @@ from itertools import chain, product, repeat
 from .core import (
     TOO_DEEP,
     BudgetExceeded,
+    CongruenceInstance,
     DomainError,
     NormalForm,
     check_vector,
@@ -139,10 +140,9 @@ def _count_walk(m, letters, marked=(), root=(0, 0, 0)):
 
     def visit(pos, mask, total):
         # a node's caller probes the memo, so a memo hit makes no call.
-        # The child's mask is core.closure_step written out: the counter
-        # makes one step per edge, and the call was a tenth of its time.
-        # It builds no constant of m, so a step that overflows does so
-        # inside _walk, which refuses it
+        # The child's mask is core.closure_step inlined, mask | 1 taken
+        # once per node: one step per edge, and the call was a tenth of
+        # the counter's time.  An overflow is raised inside _walk
         n = 0
         low = mask | 1
         for j, a, back, shift in tails[pos]:
@@ -240,9 +240,9 @@ def is_indecomposable(coords, m, support=None):
     coords = check_vector(coords)
     if not any(coords):
         raise DomainError("the zero vector is not a candidate")
-    letters = (
-        tuple(a % m for a in support) if support is not None else tuple(range(1, m))
-    )
+    # the instance checks m >= 2 and reduces the coefficients mod m
+    inst = CongruenceInstance(m, range(1, m) if support is None else support)
+    letters = inst.coefficients
     if len(letters) != len(coords):
         raise DomainError("dimension mismatch between coords and support")
     if sum(t * c for t, c in zip(letters, coords)) % m != 0:

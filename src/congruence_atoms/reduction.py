@@ -70,15 +70,16 @@ def lift_solutions(plan: ReductionPlan, normal_solutions: EnumerationResult):
     """All indecomposable solutions of the general instance, lazily and
     in lexicographic order: the rows of `lift_blocks`, each block
     decoded to tuples by one struct call."""
-    width, blocks = lift_blocks(plan, normal_solutions)
     n = sum(map(len, plan.index_classes.values()))
-    return chain.from_iterable(map(row_struct(n, width).iter_unpack, blocks))
+    unpack = row_struct(n, row_width(plan.modulus, plan.support)).iter_unpack
+    return chain.from_iterable(map(unpack, lift_blocks(plan, normal_solutions)))
 
 
 def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
-    """The lift as (w, blocks): an iterator over byte blocks of packed
-    rows, the rows sorted within a block and the blocks in order, each
-    row n big-endian unsigned digits of w bytes (`core.row_struct`).
+    """The lift as an iterator over byte blocks of packed rows, the rows
+    sorted within a block and the blocks in order, each row n big-endian
+    unsigned digits of w = `core.row_width` bytes of the plan's support
+    (`core.row_struct`): the atoms must be the atoms over that support.
 
     The rows come from a depth-first walk over the original index
     positions, with an explicit stack.  A node of the walk is a packed
@@ -96,8 +97,7 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     however many rows there are.
 
     A row is the int sum of x_i * B^(n-1-i) while it is built and
-    sorted, with B = 2^(8w) and w = `core.row_width` of the atoms (no
-    lifted coordinate is larger than an atom entry).
+    sorted, with B = 2^(8w); no lifted coordinate passes an atom entry.
     Two atoms never lift to the same row, since a row's class sums give
     its atom back, so the rows are distinct.
 
@@ -105,9 +105,8 @@ def lift_blocks(plan: ReductionPlan, normal_solutions: EnumerationResult):
     blocks are first iterated.
     """
     _check_pair(plan, normal_solutions)
-    solutions = normal_solutions.solutions
-    width = row_width(solutions)
-    return width, _buckets(plan, solutions, width)
+    width = row_width(plan.modulus, plan.support)
+    return _buckets(plan, normal_solutions.solutions, width)
 
 
 def _row_count(atoms, placed, left, limit=None):

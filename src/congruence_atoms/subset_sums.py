@@ -127,6 +127,8 @@ def scan_admissible(m, r_max):
     closure mask; minimisers are listed in lexicographic order."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
+    if not 0 <= r_max < m:
+        raise DomainError(f"r_max must lie in 0..m-1, got {r_max}")
     budget = SCAN_BUDGET
     counts = [{} for _ in range(r_max + 1)]
     best = [None] * (r_max + 1)   # per size: [min diversity, minimisers]

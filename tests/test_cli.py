@@ -122,7 +122,7 @@ def test_cache_round_trip(tmp_path, capsys):
     from congruence_atoms.cli import _cache_load, _cache_store
 
     nf = NormalForm.standard(9)
-    _cache_store(cache, nf, *_cache_load(cache, nf))
+    _cache_store(cache, nf, _cache_load(cache, nf))
     with open(path, "rb") as fh:
         assert fh.read() == original
 
@@ -281,16 +281,15 @@ def test_deeply_nested_cache_is_a_miss(tmp_path, capsys):
 
 def test_uncacheable_moduli(tmp_path, capsys):
     from congruence_atoms.cli import CACHE_VERSION
-    from congruence_atoms.core import DomainError, digit_width, row_width
+    from congruence_atoms.core import DomainError, row_width
 
     # the cache and the lift share one width rule: the narrowest of 1, 2,
-    # 4 or 8 bytes that holds the largest coordinate
-    assert [digit_width(m) for m in (2, 255, 256, 65535, 65536, 2**32 - 1)] == [
+    # 4 or 8 bytes that holds the letters' largest order, here ord(1) = m
+    assert [row_width(m, (1,)) for m in (2, 255, 256, 65535, 65536, 2**32 - 1)] == [
         1, 1, 2, 2, 4, 4,
     ]
-    assert digit_width(2**64) is None
     with pytest.raises(DomainError):
-        row_width([(1, 2**64)])
+        row_width(2**64, (1, 2**64 - 1))
     # a well-formed file for m = 1 (no columns) is a miss, not a crash
     cache = str(tmp_path / "cache")
     os.makedirs(cache)
@@ -365,16 +364,16 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     # row-major, one big-endian item per coordinate
     packed = b"".join(struct.pack(code, c) for x in rows for c in x)
     w = struct.calcsize(code)
-    _cache_store(cache, nf, w, packed)
+    _cache_store(cache, nf, packed)
     path = os.path.join(cache, f"enum-m{m}-J1-{m - 1}.json")
     with open(path, "rb") as fh:
         whole = fh.read()
     header, block = read_cache(path)
     assert header["count"] == 3
     assert block == packed
-    assert _cache_load(cache, nf) == (w, packed)
+    assert _cache_load(cache, nf) == packed
     # re-storing what was loaded writes the same bytes
-    _cache_store(cache, nf, *_cache_load(cache, nf))
+    _cache_store(cache, nf, _cache_load(cache, nf))
     with open(path, "rb") as fh:
         assert fh.read() == whole
     # a coordinate of m + 1 makes the file a miss, its checksum matching:
@@ -382,6 +381,57 @@ def test_cache_codec_at_four_and_eight_bytes(tmp_path, m, code):
     bad = block[: -2 * w] + struct.pack(code, m + 1) + block[-w:]
     write_cache(path, dict(header, crc32=zlib.crc32(bad)), bad)
     assert _cache_load(cache, nf) is None
+
+
+@pytest.mark.parametrize(
+    "m, support, wider", [(9, None, True), (300, "1,299", False)], ids=["wider", "narrower"]
+)
+def test_cache_block_of_another_width_is_a_miss(tmp_path, capsys, m, support, wider):
+    # `count` rows at a width other than the alphabet's, checksum matching:
+    # the block's length would give that width, but the file is a miss that
+    # prints the cold stdout and is rewritten.  A coordinate of 300 in one
+    # byte reads as 44, still within 0..m
+    import struct
+
+    argv = ["enumerate", str(m), "--format", "csv"]
+    if support is not None:
+        argv += ["--support", support]
+    _, cold, _ = run_cli(argv + ["--cache", str(tmp_path / "cold")], capsys)
+    [name] = os.listdir(tmp_path / "cold")
+    whole = (tmp_path / "cold" / name).read_bytes()
+    header, block = read_cache(tmp_path / "cold" / name)
+    atoms = struct.iter_unpack(f">{len(block) // header['count']}B", block)
+    if wider:
+        other = b"".join(struct.pack(">H", c) for row in atoms for c in row)
+    else:
+        other = bytes(c % 256 for c in struct.unpack(f">{len(block) // 2}H", block))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    write_cache(cache / name, dict(header, crc32=zlib.crc32(other)), other)
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert (code, out) == (0, cold)
+    assert (cache / name).read_bytes() == whole
+
+
+def test_cache_file_for_an_alphabet_no_width_holds_is_a_miss(tmp_path, capsys):
+    # J = {1} at m = 2**64: its atom (2**64) fits no digit width, so no
+    # file can hold it; one that claims to is a miss, and the listing is
+    # refused as without it
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    block = (2**64 - 1).to_bytes(8, "big")
+    header = {
+        "version": cli.CACHE_VERSION,
+        "m": 2**64,
+        "J": [1],
+        "count": 1,
+        "crc32": zlib.crc32(block),
+    }
+    write_cache(cache / f"enum-m{2**64}-J1.json", header, block)
+    argv = ["enumerate", str(2**64), "--support", "1", "--cache", str(cache)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: ")
 
 
 def test_wide_cache_round_trip(tmp_path, capsys):
@@ -406,7 +456,7 @@ def test_wide_cache_round_trip(tmp_path, capsys):
     # the rows (0, 300), (1, 1), (300, 0)
     block = bytes([0, 0, 1, 44, 0, 1, 0, 1, 1, 44, 0, 0])
     assert stored == block
-    assert _cache_load(cache, NormalForm(300, (1, 299))) == (2, block)
+    assert _cache_load(cache, NormalForm(300, (1, 299))) == block
     for fmt in ("json", "csv", "text"):
         _, cold, _ = run_cli(
             ["enumerate", "300", "--support", "1,299", "--format", fmt], capsys
@@ -1279,7 +1329,7 @@ def test_row_past_every_digit_width_is_a_budget_refusal(tmp_path, capsys, cache)
     from congruence_atoms.core import DomainError, row_width
 
     with pytest.raises(DomainError):
-        row_width([(2**64,)])
+        row_width(2**64, (1,))
     argv = ["enumerate", str(2**64), "--support", "1"]
     if cache:
         argv += ["--cache", str(tmp_path / "cache")]
@@ -1324,7 +1374,7 @@ def test_cache_stores_the_blocks_of_the_lift(tmp_path, capsys):
         [name] = os.listdir(cache)
         result = enumerate_normal_form(NormalForm(m, J))
         plan = build_plan(CongruenceInstance(m, J))
-        lifted = b"".join(lift_blocks(plan, result)[1])
+        lifted = b"".join(lift_blocks(plan, result))
         assert read_cache(cache / name)[1] == lifted, (m, J)
 
 
@@ -1373,12 +1423,12 @@ def test_elapsed_ms_covers_every_step(capsys, monkeypatch, argv, seconds):
 
     print_records = cli._print_records
 
-    def slow_blocks(fmt, m, width, letters, blocks, *rest):
+    def slow_blocks(fmt, m, letters, blocks, *rest):
         def read():
             yield from blocks
             now[0] += 1.0
 
-        return print_records(fmt, m, width, letters, read(), *rest)
+        return print_records(fmt, m, letters, read(), *rest)
 
     monkeypatch.setattr(cli, "_print_records", slow_blocks)
     monkeypatch.setattr(cli, "build_plan", slow(cli.build_plan))

@@ -22,7 +22,7 @@ from congruence_atoms import (
     solve_n1,
 )
 from congruence_atoms import tables
-from congruence_atoms.core import closure_step
+from congruence_atoms.core import closure_step, row_width
 from congruence_atoms.enumeration import _count_walk
 
 
@@ -276,6 +276,48 @@ def test_is_indecomposable_examples(standard_enumerations):
     assert (4, 1, 0, 0, 0) in standard_enumerations[6].solutions
     with pytest.raises(DomainError):
         is_indecomposable((0, 0, 0), 4)
+
+
+def test_is_indecomposable_refuses_a_modulus_below_2():
+    # m = 0 with a support divided by zero, m = 1 answered True and
+    # m = -3 reported a dimension mismatch
+    for m, support in ((0, (1,)), (1, None), (-3, None)):
+        with pytest.raises(DomainError, match="modulus must be >= 2"):
+            is_indecomposable((1,), m, support)
+
+
+def test_row_width_is_the_width_the_listed_atoms_need(standard_enumerations):
+    # the largest atom entry over J is max ord(a), here the least k >= 1
+    # with k * a = 0 mod m (1 for letter 0); row_width is its digit width
+    def order(a, m):
+        return next(k for k in range(1, m + 1) if k * a % m == 0)
+
+    rng = random.Random(34)
+    alphabets = [(m, tuple(range(1, m))) for m in range(2, 24)]
+    for _ in range(400):
+        m = rng.randint(2, 40)
+        size = rng.randint(1, min(m, 8))
+        alphabets.append((m, tuple(sorted(rng.sample(range(m), size)))))
+    assert any(0 in J for _, J in alphabets)
+    for m, J in alphabets:
+        if len(J) == m - 1 and J[0] == 1:
+            atoms = standard_enumerations[m].solutions
+        else:
+            atoms = enumerate_normal_form(NormalForm(m, J)).solutions
+        top = max(map(max, atoms))
+        assert top == max(order(a, m) for a in J), (m, J)
+        assert row_width(m, J) == min(w for w in (1, 2, 4, 8) if top < 256**w), (m, J)
+    # at the digit cuts the order decides, not the letter: ord(1) = m,
+    # ord(0) = 1 and ord(m/2) = 2
+    cuts = [
+        (255, (1,), 1), (256, (1,), 2), (256, (0,), 1), (256, (128, 255), 2),
+        (65536, (2,), 2), (65536, (1,), 4), (2**32, (1,), 8), (2**64, (0,), 1),
+        (2**64, (2**63,), 1), (2**64 - 1, (1,), 8),
+    ]
+    for m, J, width in cuts:
+        assert row_width(m, J) == width, (m, J)
+    with pytest.raises(DomainError):
+        row_width(2**64, (0, 1))
 
 
 def test_is_indecomposable_against_sets(standard_enumerations):

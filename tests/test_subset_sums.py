@@ -126,6 +126,15 @@ def test_verify_general(monkeypatch):
         verify_general(5, 16)
 
 
+def test_scan_admissible_refuses_a_size_bound_outside_0_to_m_minus_1():
+    # -1 raised IndexError, and a huge bound took r_max + 1 dicts first
+    for r_max in (-1, 7, 10**18):
+        with pytest.raises(DomainError):
+            scan_admissible(7, r_max)
+    assert [s.set_size for s in scan_admissible(7, 0)] == [0]
+    assert [s.set_size for s in scan_admissible(7, 6)] == list(range(7))
+
+
 def _oracle_summary(m, r):
     """(admissible count, histogram, minimum, minimisers, ok) of the
     r-subsets of {1..m-1}, from the 2^r subset scan."""
@@ -160,8 +169,9 @@ def _fields(summary):
 
 def test_scan_matches_subset_scan_oracle():
     for m in range(2, 17):
-        summaries = scan_admissible(m, 5)
-        assert [s.set_size for s in summaries] == list(range(6))
+        # no set has more than the m - 1 elements of {1..m-1}
+        summaries = scan_admissible(m, min(5, m - 1))
+        assert [s.set_size for s in summaries] == list(range(min(5, m - 1) + 1))
         for r, summary in enumerate(summaries):
             assert summary.modulus == m
             assert _fields(summary) == _oracle_summary(m, r), (m, r)
