@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import zlib
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from struct import Struct
 
 from . import tables
@@ -273,13 +273,8 @@ def cmd_enumerate(args):
     started = time.monotonic()
     block = _cache_load(args.cache, nf) if args.cache else None
     if block is None:
-        if args.naive:
-            solutions = enumerate_naive(m, letters).solutions
-        else:
-            solutions = enumerate_normal_form(nf).solutions
-        # packed once after the listing, which refuses first; stored and printed
-        pack = row_struct(len(letters), row_width(m, letters)).pack
-        block = b"".join(starmap(pack, solutions))
+        listing = enumerate_naive(m, letters) if args.naive else enumerate_normal_form(nf)
+        block = listing.block
         if args.cache:
             _cache_store(args.cache, nf, block)
     _print_records(args.format, m, letters, [block], started)

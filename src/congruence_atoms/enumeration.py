@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, product, repeat, starmap
 
 from .core import (
     TOO_DEEP,
@@ -48,6 +48,8 @@ from .core import (
     closure_step,
     compositions,
     refuse_deep_walk,
+    row_struct,
+    row_width,
 )
 
 POINT_BUDGET = 50_000_000
@@ -58,12 +60,20 @@ class EnumerationResult:
     """The atoms over one alphabet; `support` is never None."""
 
     modulus: int
-    support: tuple    # the letters, strictly increasing; 1..m-1 if standard
-    solutions: tuple  # coordinate tuples, in lexicographic order as built
+    support: tuple  # the letters, strictly increasing; 1..m-1 if standard
+    block: bytes    # the atoms in lexicographic order, in core's packed rows
+
+    @property
+    def _row(self):
+        return row_struct(len(self.support), row_width(self.modulus, self.support))
 
     @property
     def count(self):
-        return len(self.solutions)
+        return len(self.block) // self._row.size
+
+    @property
+    def solutions(self):
+        return tuple(self._row.iter_unpack(self.block))
 
 
 def _walk_tables(m, letters, marked=(), width=0):
@@ -98,27 +108,27 @@ def _walk(visit, pos=0, mask=0, total=0):
 
 def _enumerate_letters(m, letters):
     """All indecomposable solutions over the distinct letters in [0, m),
-    in the lexicographic order that one closing-letter walk builds."""
+    as one block of `core`'s packed rows in the lexicographic order that
+    one closing-letter walk builds.  A node's row is one int: letter j
+    adds 2^(8w(n-1-j)), w = `core.row_width`, and closing appends it."""
     tails = _walk_tables(m, letters)
-    counts = [0] * len(tails)
-    out = []
+    width = row_width(m, letters)
+    units = [1 << 8 * width * i for i in reversed(range(len(letters)))]
+    size = width * len(units)
+    block = bytearray()
 
-    def visit(pos, mask, total):
-        # the multiset in counts is zero-sum-free: bit 0 of mask is clear.
+    def visit(pos, mask, total, row=0):
+        # the multiset in row is zero-sum-free: bit 0 of mask is clear.
         # Closing is tested first: letter 0 (index 0, back 0) closes the
         # empty multiset into e_0, so it is never added to a multiset
         for j, a, back, _ in tails[pos]:
             if back == total:
-                counts[j] += 1
-                out.append(tuple(counts))
-                counts[j] -= 1
+                block.extend((row + units[j]).to_bytes(size, "big"))
             elif not mask >> back & 1:
-                counts[j] += 1
-                visit(j, closure_step(mask, a, m), (total + a) % m)
-                counts[j] -= 1
+                visit(j, closure_step(mask, a, m), (total + a) % m, row + units[j])
 
     _walk(visit)
-    return tuple(out)
+    return bytes(block)
 
 
 def _count_walk(m, letters, marked=(), root=(0, 0, 0)):
@@ -218,16 +228,15 @@ def enumerate_standard(m):
 
 def enumerate_normal_form(nf: NormalForm):
     """Indecomposable solutions of the congruence restricted to the set J."""
-    sols = _enumerate_letters(nf.modulus, nf.support)
-    return EnumerationResult(nf.modulus, nf.support, sols)
+    block = _enumerate_letters(nf.modulus, nf.support)
+    return EnumerationResult(nf.modulus, nf.support, block)
 
 
 def solve_n1(a, m):
-    """The unique indecomposable solution of a*x = 0 mod m."""
+    """The unique indecomposable solution of a*x = 0 mod m, for every
+    integer a: m/gcd(a, m), which is 1 where a = 0 mod m (the atom e_0)."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
-    if a <= 0:
-        raise DomainError("coefficient must be >= 1")
     return m // math.gcd(a, m)
 
 
@@ -275,11 +284,7 @@ def naive_minimal_solutions(m, weights):
         if any(x) and sum(w * c for w, c in zip(weights, x)) % m == 0:
             solutions.append(x)
     solution_set = set(solutions)
-    minimal = []
-    for x in solutions:
-        if not _dominates_some(x, solution_set):
-            minimal.append(x)
-    return tuple(minimal)
+    return tuple(x for x in solutions if not _dominates_some(x, solution_set))
 
 
 def _dominates_some(x, solution_set):
@@ -295,4 +300,6 @@ def enumerate_naive(m, support=None):
     enumerate_normal_form (a strictly increasing support)."""
     nf = NormalForm.standard(m) if support is None else NormalForm(m, support)
     sols = naive_minimal_solutions(m, nf.support)
-    return EnumerationResult(m, nf.support, sols)
+    # struct raises on a coordinate the digit width does not hold
+    pack = row_struct(len(nf.support), row_width(m, nf.support)).pack
+    return EnumerationResult(m, nf.support, b"".join(starmap(pack, sols)))

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -139,9 +140,27 @@ def test_ordering_is_lexicographic(standard_enumerations):
         assert list(sols) == sorted(sols)
 
 
+def test_listing_peak_memory_is_its_block_and_little_more():
+    # the walk appends each atom's packed row as it closes it, so no
+    # tuple per atom is ever held: the peak is the growing block, its
+    # copy to bytes and the walk's tables
+    nf = NormalForm.standard(24)
+    tracemalloc.start()
+    try:
+        block = enumerate_normal_form(nf).block
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(block) + (1 << 20), (peak, len(block))
+
+
 def test_oracle_equivalence():
     for m in range(2, 11):
-        assert enumerate_standard(m).solutions == enumerate_naive(m).solutions
+        listed, naive = enumerate_standard(m), enumerate_naive(m)
+        assert listed.solutions == naive.solutions
+        # the walk's int rows against the oracle's struct-packed tuples
+        assert listed.block == naive.block
+        assert listed.count == len(naive.solutions)
 
 
 def test_naive_reference_counts():
@@ -255,16 +274,18 @@ def test_solve_n1():
     assert solve_n1(3, 7) == 7
     assert solve_n1(4, 6) == 3
     assert solve_n1(6, 6) == 1
-    with pytest.raises(DomainError):
-        solve_n1(0, 6)
+    # letter 0 is an ordinary letter: its one atom is e_0
+    assert solve_n1(0, 6) == 1
     with pytest.raises(DomainError):
         solve_n1(2, 1)
 
 
 def test_solve_n1_matches_enumeration():
+    # every integer a, letter 0 (a = 0, a = m) and negatives included,
+    # against the listing over the residue a mod m
     for m in range(2, 12):
-        for a in range(1, m):
-            assert enumerate_normal_form(NormalForm(m, (a,))).solutions == (
+        for a in range(-2 * m, 2 * m + 1):
+            assert enumerate_normal_form(NormalForm(m, (a % m,))).solutions == (
                 (solve_n1(a, m),),
             )
 

@@ -114,9 +114,12 @@ def _fails_under_optimisation(result):
     over `full`: the check must not be an assert."""
     code = (
         "from congruence_atoms import enumerate_standard, verify_extremal\n"
+        "from congruence_atoms.core import row_struct\n"
         "from congruence_atoms.enumeration import EnumerationResult\n"
         "full = enumerate_standard(7)\n"
-        f"verify_extremal(7, EnumerationResult(7, full.support, {result}))\n"
+        "pack = row_struct(6, 1).pack\n"
+        f"block = b''.join(pack(*x) for x in {result})\n"
+        "verify_extremal(7, EnumerationResult(7, full.support, block))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -245,7 +245,8 @@ def one_atom(m):
     """The plan of the one coefficient 1 mod m and its one atom 1^m, built
     by hand: no enumeration at such m is affordable."""
     plan = build_plan(CongruenceInstance(m, (1,)))
-    return plan, EnumerationResult(m, plan.support, ((m,),))
+    block = row_struct(1, row_width(m, plan.support)).pack(m)
+    return plan, EnumerationResult(m, plan.support, block)
 
 
 @pytest.mark.parametrize("m", [300, 70_000, 2**40, 2**64 - 1])
@@ -330,7 +331,7 @@ def test_lift_of_one_row_is_one_block():
 
 def test_lift_of_no_atoms_yields_no_row():
     plan = build_plan(CongruenceInstance(7, (3,)))
-    none = EnumerationResult(7, plan.support, ())
+    none = EnumerationResult(7, plan.support, b"")
     assert list(reduction.lift_blocks(plan, none)) == []
     assert list(lift_solutions(plan, none)) == []
 
