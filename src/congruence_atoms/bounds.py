@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, refuse_deep_walk
+from .core import DomainError, refuse_walk
 from .enumeration import count_letters
 from . import tables
 
@@ -167,13 +167,12 @@ def table2_rows(m_min, m_max, with_enumeration=False):
     """The rows m_min..m_max, each made as it is read; the range is
     checked at once.  A row costs about 0.013 s at m = 4000 and 0.04 s at
     m = 7143, most of it r(m) and q(m), so a reader can print each one
-    before the next is made.  With with_enumeration, a walk over
-    1..m_max-1 that is certain to outrun the recursion limit is refused
-    here too, before any row is made."""
+    before the next is made.  With with_enumeration, `core.refuse_walk`
+    refuses a walk over 1..m_max-1 here, before any row is made."""
     if not 4 <= m_min <= m_max:
         raise DomainError("need 4 <= m_min <= m_max")
     if with_enumeration:
-        refuse_deep_walk(m_max, range(1, m_max))
+        refuse_walk(m_max, range(1, m_max))
     return (bounds_row(m, with_enumeration) for m in range(m_min, m_max + 1))
 
 

@@ -1,11 +1,11 @@
 """Shared domain types and exact-arithmetic helpers.
 
 Everything here works on plain tuples of non-negative integers; the
-dataclasses are thin validated containers.  All arithmetic is exact
-(Python ints), never floating point.  The one packed-row format of the
-listing, the cache and the lift is built here (`row_width`, `row_struct`),
-and so are the byte budget of a streamed result (`STREAM_BYTES`) and the
-one memo it bounds, of the record writer and the lift (`Memo`).
+dataclasses are thin validated containers.  All arithmetic is exact.
+Built here: the packed rows of the listing, the cache and the lift
+(`row_width`, `row_struct`); the byte budget of a streamed result and its
+memo (`STREAM_BYTES`, `Memo`); and every walk refusal, from m and the
+letters before the walk (`refuse_walk`), but for one as it runs (`_walk`).
 """
 
 from __future__ import annotations
@@ -47,14 +47,18 @@ def closure_mask(items, m):
 TOO_DEEP = "the closing-letter walk is deeper than the recursion limit"
 
 
-def refuse_deep_walk(m, letters):
-    """Refuse a closing-letter walk over the letters that is certain to
-    outrun the recursion limit: letter a has order m/gcd(a, m), and the
-    walk reaches a**(order - 1), which is zero-sum-free and order frames
-    deep.  It stops at the first such letter, so it can run on a range."""
+def refuse_walk(m, letters):
+    """Refuse a closing-letter walk that cannot finish, before it starts.
+    Letter a has order k = m/gcd(a, m); every walk reaches a**(k - 1), which
+    is zero-sum-free and k frames deep, too deep past the recursion limit
+    (tested first).  For a != 0, k >= 2 and its mask holds bits a and m - a,
+    one at or above m/2: past m = sys.maxsize, over 2**59 bytes, beyond any
+    64-bit address space (2**57 bytes).  Both tests can run on a range."""
     limit = sys.getrecursionlimit()
     if m > limit and any(m // math.gcd(a, m) > limit for a in letters):
         raise BudgetExceeded(TOO_DEEP)
+    if m > sys.maxsize and any(letters):
+        raise BudgetExceeded("the closure mask has more bits than an int can hold")
 
 
 # a packed row is n big-endian unsigned digits of one of these widths,
@@ -236,10 +240,9 @@ class NormalForm:
 
     @classmethod
     def standard(cls, m):
-        """The whole alphabet J = 1..m-1.  Every walk over it holds letter
-        1, of order m, so past the recursion limit the alphabet is refused
-        before its m - 1 letters are built."""
-        refuse_deep_walk(m, range(1, m))
+        """The whole alphabet J = 1..m-1, refused by `refuse_walk` before
+        its m - 1 letters are built: letter 1 has order m."""
+        refuse_walk(m, range(1, m))
         return cls(m, tuple(range(1, m)))
 
     @property

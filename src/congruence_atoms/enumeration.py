@@ -47,7 +47,7 @@ from .core import (
     closure_mask,
     closure_step,
     compositions,
-    refuse_deep_walk,
+    refuse_walk,
     row_struct,
     row_width,
 )
@@ -84,26 +84,24 @@ def _walk_tables(m, letters, marked=(), width=0):
     multiset whose sum is back; otherwise it extends one whose mask has
     bit back clear.  shift is `width` where a is in `marked` and new
     (j > p), else 0.  The tables hold |J|(|J|+1)/2 slots for |J| letters
-    (about m**2/2 for 1..m-1), so a walk that is certain to outrun the
-    recursion limit is refused before they are built."""
-    refuse_deep_walk(m, letters)
+    (about m**2/2 for 1..m-1), so a walk that cannot finish
+    (`core.refuse_walk`) is refused before they are built."""
+    refuse_walk(m, letters)
     steps = [(j, a, -a % m, width if a in marked else 0) for j, a in enumerate(letters)]
     return [steps[:j:-1] + [(j, a, back, 0)] for j, a, back, _ in steps]
 
 
 def _walk(visit, pos=0, mask=0, total=0):
     """Run a walk from the node (pos, mask, total), by default the empty
-    multiset.  The walks recurse once per letter, so a long atom (at m of
-    about 1000 and up) can outrun the recursion limit; and a closure step
-    shifts by up to m bits, an OverflowError past about m = 2**66 (a
-    MemoryError, which the CLI refuses, below)."""
+    multiset.  It recurses once per letter, so a long atom can outrun the
+    recursion limit: `core.refuse_walk` refuses a walk certain to, or too
+    wide for its mask, before it starts, and one that outruns the limit
+    anyway is refused here.  Any other error is a fault, and passes."""
     try:
         return visit(pos, mask, total)
     except RecursionError:
-        reason = TOO_DEEP
-    except OverflowError:
-        reason = "the closure mask has more bits than an int can hold"
-    raise BudgetExceeded(reason)
+        pass
+    raise BudgetExceeded(TOO_DEEP)
 
 
 def _enumerate_letters(m, letters):
@@ -152,7 +150,7 @@ def _count_walk(m, letters, marked=(), root=(0, 0, 0)):
         # a node's caller probes the memo, so a memo hit makes no call.
         # The child's mask is core.closure_step inlined, mask | 1 taken
         # once per node: one step per edge, and the call was a tenth of
-        # the counter's time.  An overflow is raised inside _walk
+        # the counter's time
         n = 0
         low = mask | 1
         for j, a, back, shift in tails[pos]:

@@ -1240,9 +1240,9 @@ def test_walk_that_outruns_the_recursion_limit_is_refused_as_it_runs(argv):
     # traceback.  A 1 GB address space, as above
     import resource
 
-    from congruence_atoms.core import refuse_deep_walk
+    from congruence_atoms.core import refuse_walk
 
-    refuse_deep_walk(988027, (991, 997))
+    refuse_walk(988027, (991, 997))
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -1269,7 +1269,7 @@ MASK_TOO_WIDE = "the closure mask has more bits than an int can hold"
     [
         (["enumerate", str(2**64 + 1), "--support", "1", "--count-only"], ""),
         (["solve", "--modulus", str(2**64 + 1), "--coeffs", "1,0"], ""),
-        (["enumerate", str(2**63), "--support", str(2**62)], ""),
+        (["enumerate", str(2**63), "--support", str(2**62)], MASK_TOO_WIDE),
         (["enumerate", str(2**64 + 1), "--count-only"], ""),
         (["enumerate", str(2**64 + 1), "--naive"], ""),
         (["enumerate", str(10**20), "--support", "1", "--count-only"], ""),
@@ -1287,10 +1287,10 @@ MASK_TOO_WIDE = "the closure mask has more bits than an int can hold"
 )
 def test_huge_modulus_is_a_budget_refusal(capsys, argv, reason):
     # a walk holding letter 1 (order m) is refused before its tables are
-    # built; an m-bit closure mask with m >= 2**63 fails before any
-    # memory is taken (the letters 2**62 and 10**20 have order 2); no
-    # table of the walk has m entries; and the alphabet 1..m-1 at
-    # m = 2**64 + 1 is refused before its letters are built
+    # built; a walk with a non-zero letter past m = sys.maxsize is refused
+    # before its first m-bit closure mask (the letters 2**62 and 10**20
+    # have order 2); no table of the walk has m entries; and the alphabet
+    # 1..m-1 at m = 2**64 + 1 is refused before its letters are built
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from congruence_atoms import (
+    BudgetExceeded,
     CongruenceInstance,
     DomainError,
     NormalForm,
@@ -16,7 +17,7 @@ from congruence_atoms import (
     euler_phi,
     metrics,
 )
-from congruence_atoms.core import Memo, closure_mask, compositions
+from congruence_atoms.core import Memo, closure_mask, compositions, refuse_walk
 
 vectors = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=12)
 
@@ -124,6 +125,21 @@ def test_normal_form_names_the_standard_alphabet():
         if m > 2:
             assert not NormalForm(m, range(1, m - 1)).is_standard
             assert not NormalForm(m, range(2, m)).is_standard
+
+
+def test_walk_refusal_edges():
+    # m = 2**63 is the least m past sys.maxsize on a 64-bit build: letter
+    # 2**62 has order 2, so the walk is shallow, but its mask is too wide
+    with pytest.raises(BudgetExceeded) as refusal:
+        refuse_walk(2**63, (2**62,))
+    assert str(refusal.value) == "the closure mask has more bits than an int can hold"
+    # letter 0 takes no closure step, and 991 and 997 have orders 997 and
+    # 991 mod 988027 = 991 * 997, both under the recursion limit
+    refuse_walk(2**64, (0,))
+    refuse_walk(988027, (991, 997))
+    # the depth test comes first: letter 1 has order m
+    with pytest.raises(BudgetExceeded, match="recursion limit"):
+        refuse_walk(2**64 + 1, (1,))
 
 
 def test_compositions_are_lexicographic_stars_and_bars():

@@ -22,7 +22,7 @@ from congruence_atoms import (
     naive_minimal_solutions,
     solve_n1,
 )
-from congruence_atoms import tables
+from congruence_atoms import enumeration, tables
 from congruence_atoms.core import closure_step, row_width
 from congruence_atoms.enumeration import _count_walk
 
@@ -339,6 +339,23 @@ def test_row_width_is_the_width_the_listed_atoms_need(standard_enumerations):
         assert row_width(m, J) == width, (m, J)
     with pytest.raises(DomainError):
         row_width(2**64, (0, 1))
+
+
+def test_a_fault_inside_the_walk_is_not_a_budget_refusal(monkeypatch):
+    # a planted fault: one-byte digits, while letter 1 has order 300.  The
+    # row of the atom 1^300 outgrows its digits, and int.to_bytes raises
+    # the OverflowError of a fault, not a BudgetExceeded (exit 3)
+    monkeypatch.setattr(enumeration, "row_width", lambda m, letters: 1)
+    with pytest.raises(OverflowError):
+        enumerate_normal_form(NormalForm(300, (1, 299)))
+
+
+def test_a_walk_deeper_than_any_letter_order_sum_bound_finishes():
+    # the walk over {2, 3} mod 1500 recurses about 750 letters deep, under
+    # the recursion limit, though the sum of ord(a) - 1 is 749 + 499 = 1,248:
+    # a refusal on that sum would refuse a walk that answers
+    assert count_letters(1500, (2, 3)) == 251
+    assert enumerate_normal_form(NormalForm(1500, (2, 3))).count == 251
 
 
 def test_is_indecomposable_against_sets(standard_enumerations):
